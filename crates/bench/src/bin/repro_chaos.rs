@@ -26,8 +26,9 @@ use apollo_bench::pipeline::save_json;
 use apollo_core::{train_per_cycle, DesignContext, FeatureSpace, TrainOptions};
 use apollo_cpu::{benchmarks, CpuConfig};
 use apollo_introspect::{
-    chaos, fleet_specs, http_get_lines, run_monitor, run_supervised, serve, ChaosPlan,
-    CheckpointPolicy, MonitorConfig, MonitorHub, PipelineState, ServiceFault, SupervisorConfig,
+    chaos, fleet_specs, http_get_lines, run_monitor, run_supervised, serve_with, ChaosPlan,
+    CheckpointPolicy, MonitorConfig, MonitorHub, PipelineState, ServerOptions, ServiceFault,
+    SupervisorConfig,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,7 +119,8 @@ fn serving_rep(
     let stop = Arc::new(AtomicBool::new(false));
     let hub = MonitorHub::new(1024);
     let server =
-        serve("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop)).expect("bind bench endpoint");
+        serve_with("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop), ServerOptions::default())
+            .expect("bind bench endpoint");
     let addr = server.addr().to_string();
     let drain = {
         let addr = addr.clone();

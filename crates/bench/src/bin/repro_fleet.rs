@@ -40,7 +40,8 @@ use apollo_fleet::{
     ShardKill, ShardRuntime,
 };
 use apollo_introspect::{
-    chaos, http_get_lines_retry, BackoffPolicy, ChaosPlan, RetryPolicy, ServiceFault,
+    chaos, http_get_lines_retry, BackoffPolicy, ChaosPlan, RetryPolicy, ServerOptions,
+    ServiceFault,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -172,7 +173,10 @@ fn serving_rep(
         Arc::clone(&runtime),
         Arc::clone(&stop),
         FleetServerOptions {
-            max_conns: 512,
+            server: ServerOptions {
+                max_conns: 512,
+                ..FleetServerOptions::default().server
+            },
             ..FleetServerOptions::default()
         },
     )

@@ -15,7 +15,9 @@
 use apollo_bench::pipeline::save_json;
 use apollo_core::{train_per_cycle, DesignContext, FeatureSpace, TrainOptions};
 use apollo_cpu::{benchmarks, CpuConfig};
-use apollo_introspect::{http_get_lines, run_monitor, serve, MonitorConfig, MonitorHub};
+use apollo_introspect::{
+    http_get_lines, run_monitor, serve_with, MonitorConfig, MonitorHub, ServerOptions,
+};
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -82,7 +84,8 @@ fn measure(
         let stop = Arc::new(AtomicBool::new(false));
         let hub = MonitorHub::new(1024);
         let server =
-            serve("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop)).expect("bind bench endpoint");
+            serve_with("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop), ServerOptions::default())
+                .expect("bind bench endpoint");
         let addr = server.addr().to_string();
         let drain = std::thread::spawn(move || http_get_lines(&addr, "/events", None));
         s.push(monitor_ns_per_cycle(ctx, model, bench, cfg, Some(&hub)));

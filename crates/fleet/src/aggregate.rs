@@ -277,30 +277,7 @@ impl FleetAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::CoreWindow;
-
-    fn batch(shard: u64, seq: u64, window: u64, cores: &[(&str, f64, &[u64])]) -> WindowBatch {
-        let rows: Vec<(String, Vec<String>, CoreWindow)> = cores
-            .iter()
-            .map(|(id, p, raw)| {
-                (
-                    (*id).to_owned(),
-                    (0..raw.len()).map(|i| format!("u{i}")).collect(),
-                    CoreWindow {
-                        window,
-                        est_power: *p,
-                        true_power: *p,
-                        raw: raw.iter().sum(),
-                        out: 0,
-                        alarms: 1,
-                        energy: *p * 4.0,
-                        unit_raw: raw.to_vec(),
-                    },
-                )
-            })
-            .collect();
-        WindowBatch::from_rows(shard, seq, window, &rows)
-    }
+    use crate::batch::test_batch as batch;
 
     #[test]
     fn coverage_counts_lagging_cores_out() {

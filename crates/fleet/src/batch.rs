@@ -12,18 +12,17 @@
 //! `ts_ns` ([`WindowBatch::strip_timing`] zeroes it for differential
 //! byte comparisons).
 //!
-//! [`BatchHub`] fans batches out to streaming subscribers behind
-//! bounded drop-oldest queues, mirroring the introspect hub's
-//! backpressure contract: a slow subscriber loses its *oldest*
+//! [`BatchHub`] fans batches out to streaming subscribers through the
+//! introspect hub's bounded drop-oldest [`Fanout`] core, so both share
+//! one backpressure contract: a slow subscriber loses its *oldest*
 //! batches (counted, never blocking the shard), and the hub's
-//! [`BatchHub::max_depth`] is the admission-control watermark the
-//! fleet server sheds on.
+//! deepest queue is the admission-control watermark the fleet server
+//! sheds on.
 
-use crate::core::CoreWindow;
+use apollo_introspect::hub::{Fanout, Subscription};
+use apollo_introspect::CoreWindow;
 use apollo_telemetry::framing::{self, Framed};
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Schema version of [`WindowBatch`] records.
 pub const BATCH_VERSION: u32 = 1;
@@ -215,195 +214,52 @@ impl WindowBatch {
     }
 }
 
-/// Poll outcome for a [`BatchSubscriber`].
-pub enum BatchPoll {
-    /// A delivered batch.
-    Batch(Arc<WindowBatch>),
-    /// Nothing arrived within the timeout.
-    Timeout,
-    /// The hub closed and the queue is drained.
-    Closed,
-}
-
-struct SubState {
-    id: u64,
-    queue: VecDeque<Arc<WindowBatch>>,
-    dropped: u64,
-    open: bool,
-}
-
-struct HubState {
-    subs: Vec<SubState>,
-    next_id: u64,
-    closed: bool,
-}
-
-/// Bounded drop-oldest fan-out of [`WindowBatch`]es, one per shard.
-///
-/// Publishing never blocks: a subscriber whose queue is full loses its
-/// oldest batch (counted in `fleet.hub.dropped`). The deepest queue
-/// ([`BatchHub::max_depth`]) is the serving layer's admission-control
-/// watermark.
-pub struct BatchHub {
-    state: Mutex<HubState>,
-    cond: Condvar,
-    cap: usize,
-}
-
-fn hub_lock(hub: &BatchHub) -> MutexGuard<'_, HubState> {
-    // Poison-proof: a panicking subscriber thread must not cascade.
-    hub.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl BatchHub {
-    /// A hub whose subscribers each buffer at most `cap` batches.
-    #[must_use]
-    pub fn new(cap: usize) -> Arc<BatchHub> {
-        Arc::new(BatchHub {
-            state: Mutex::new(HubState {
-                subs: Vec::new(),
-                next_id: 0,
-                closed: false,
-            }),
-            cond: Condvar::new(),
-            cap: cap.max(1),
-        })
-    }
-
-    /// Publishes one batch to every open subscriber (drop-oldest on a
-    /// full queue; never blocks the shard).
-    pub fn publish(&self, batch: WindowBatch) {
-        let batch = Arc::new(batch);
-        let mut st = hub_lock(self);
-        if st.closed {
-            return;
-        }
-        for sub in st.subs.iter_mut().filter(|s| s.open) {
-            if sub.queue.len() >= self.cap {
-                sub.queue.pop_front();
-                sub.dropped += 1;
-                apollo_telemetry::counter("fleet.hub.dropped").inc();
-            }
-            sub.queue.push_back(Arc::clone(&batch));
-        }
-        drop(st);
-        self.cond.notify_all();
-    }
-
-    /// Registers a new subscriber.
-    pub fn subscribe(self: &Arc<Self>) -> BatchSubscriber {
-        let mut st = hub_lock(self);
-        let id = st.next_id;
-        st.next_id += 1;
-        st.subs.push(SubState {
-            id,
-            queue: VecDeque::new(),
-            dropped: 0,
-            open: true,
-        });
-        drop(st);
-        BatchSubscriber {
-            hub: Arc::clone(self),
-            id,
-        }
-    }
-
-    /// Closes the hub: subscribers drain their queues and then see
-    /// [`BatchPoll::Closed`].
-    pub fn close(&self) {
-        hub_lock(self).closed = true;
-        self.cond.notify_all();
-    }
-
-    /// Whether [`BatchHub::close`] has been called.
-    #[must_use]
-    pub fn closed(&self) -> bool {
-        hub_lock(self).closed
-    }
-
-    /// Deepest subscriber queue — the admission-control watermark
-    /// input (0 with no subscribers).
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        hub_lock(self)
-            .subs
-            .iter()
-            .filter(|s| s.open)
-            .map(|s| s.queue.len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Open subscribers.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        hub_lock(self).subs.iter().filter(|s| s.open).count()
-    }
-
-    /// Total batches dropped across all (live) subscribers.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        hub_lock(self).subs.iter().map(|s| s.dropped).sum()
-    }
-}
+/// Bounded drop-oldest fan-out of [`WindowBatch`]es, one per shard:
+/// the introspect hub's [`Fanout`] core carrying shared batches.
+/// Publishing never blocks — a subscriber whose queue is full loses
+/// its oldest batch — and the deepest queue ([`Fanout::max_depth`]) is
+/// the serving layer's admission-control watermark.
+pub type BatchHub = Fanout<Arc<WindowBatch>>;
 
 /// One streaming consumer of a [`BatchHub`].
-pub struct BatchSubscriber {
-    hub: Arc<BatchHub>,
-    id: u64,
-}
+pub type BatchSubscriber = Subscription<Arc<WindowBatch>>;
 
-impl BatchSubscriber {
-    /// Waits up to `timeout` for the next batch.
-    pub fn poll(&self, timeout: Duration) -> BatchPoll {
-        let mut st = hub_lock(&self.hub);
-        loop {
-            let closed = st.closed;
-            let Some(sub) = st.subs.iter_mut().find(|s| s.id == self.id) else {
-                return BatchPoll::Closed;
-            };
-            if let Some(batch) = sub.queue.pop_front() {
-                return BatchPoll::Batch(batch);
-            }
-            if closed {
-                return BatchPoll::Closed;
-            }
-            let (next, wait) = self
-                .hub
-                .cond
-                .wait_timeout(st, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = next;
-            if wait.timed_out() {
-                // One more non-blocking look, then report the timeout.
-                let Some(sub) = st.subs.iter_mut().find(|s| s.id == self.id) else {
-                    return BatchPoll::Closed;
-                };
-                if let Some(batch) = sub.queue.pop_front() {
-                    return BatchPoll::Batch(batch);
-                }
-                return if st.closed {
-                    BatchPoll::Closed
-                } else {
-                    BatchPoll::Timeout
-                };
-            }
-        }
-    }
-}
-
-impl Drop for BatchSubscriber {
-    fn drop(&mut self) {
-        let mut st = hub_lock(&self.hub);
-        st.subs.retain(|s| s.id != self.id);
-        drop(st);
-        self.hub.cond.notify_all();
-    }
+/// A batch of one window round, one `(core, power, unit raw)` row per
+/// core with unit labels `u0`, `u1`, …
+#[cfg(test)]
+pub(crate) fn test_batch(
+    shard: u64,
+    seq: u64,
+    window: u64,
+    cores: &[(&str, f64, &[u64])],
+) -> WindowBatch {
+    let rows: Vec<(String, Vec<String>, CoreWindow)> = cores
+        .iter()
+        .map(|(id, p, raw)| {
+            (
+                (*id).to_owned(),
+                (0..raw.len()).map(|i| format!("u{i}")).collect(),
+                CoreWindow {
+                    window,
+                    est_power: *p,
+                    true_power: *p,
+                    raw: raw.iter().sum(),
+                    out: 0,
+                    alarms: 1,
+                    energy: *p * 4.0,
+                    unit_raw: raw.to_vec(),
+                },
+            )
+        })
+        .collect();
+    WindowBatch::from_rows(shard, seq, window, &rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apollo_introspect::Poll;
+    use std::time::Duration;
 
     fn window(raw: &[u64]) -> CoreWindow {
         CoreWindow {
@@ -473,34 +329,31 @@ mod tests {
     #[test]
     fn hub_drops_oldest_and_reports_watermark() {
         let hub = BatchHub::new(2);
-        let sub = hub.subscribe();
+        let (sub, _) = hub.subscribe();
         for seq in 0..4u64 {
             let rows = vec![("c".to_owned(), vec!["alu".to_owned()], window(&[1]))];
             hub.publish(WindowBatch::from_rows(0, seq, seq, &rows));
         }
         assert_eq!(hub.max_depth(), 2);
-        assert_eq!(hub.dropped(), 2);
+        assert_eq!(hub.total_dropped(), 2);
         // Oldest two were dropped: delivery starts at seq 2.
-        let BatchPoll::Batch(b) = sub.poll(Duration::from_millis(100)) else {
+        let Poll::Body(b) = sub.poll(Duration::from_millis(100)) else {
             panic!("expected batch");
         };
         assert_eq!(b.seq, 2);
         hub.close();
-        let BatchPoll::Batch(b) = sub.poll(Duration::from_millis(100)) else {
+        let Poll::Body(b) = sub.poll(Duration::from_millis(100)) else {
             panic!("expected drain after close");
         };
         assert_eq!(b.seq, 3);
-        assert!(matches!(
-            sub.poll(Duration::from_millis(10)),
-            BatchPoll::Closed
-        ));
+        assert!(matches!(sub.poll(Duration::from_millis(10)), Poll::Closed));
     }
 
     #[test]
     fn dropped_subscriber_leaves_no_state() {
         let hub = BatchHub::new(4);
-        let sub = hub.subscribe();
-        assert_eq!(hub.active(), 1);
+        let (sub, active) = hub.subscribe();
+        assert_eq!(active, 1);
         drop(sub);
         assert_eq!(hub.active(), 0);
         assert_eq!(hub.max_depth(), 0);

@@ -10,9 +10,10 @@
 //! core, slow subscriber, or malformed client can never degrade its
 //! neighbors.
 //!
-//! * [`core`] — one monitored core as a resumable state machine:
-//!   [`core::CoreMonitor`] re-expresses the monitor loop as
-//!   `step_window`, producing per-window rows a shard batches;
+//! * [`core`] — one monitored core as a resumable state machine,
+//!   shared with `apollo-introspect`'s monitor loop:
+//!   [`core::CoreMonitor::step_window`] produces the per-window rows a
+//!   shard batches;
 //! * [`batch`] — columnar [`batch::WindowBatch`] export (one framed
 //!   record per window across all cores on a shard, replacing
 //!   line-at-a-time JSONL) and the bounded [`batch::BatchHub`] fan-out
@@ -49,12 +50,13 @@
 
 pub mod aggregate;
 pub mod batch;
-pub mod core;
 pub mod server;
 pub mod shard;
 
+pub use apollo_introspect::core;
+
 pub use aggregate::{FleetAggregate, FleetAggregator, AGGREGATE_VERSION};
-pub use batch::{BatchHub, BatchPoll, BatchSubscriber, WindowBatch, BATCH_VERSION};
+pub use batch::{BatchHub, BatchSubscriber, WindowBatch, BATCH_VERSION};
 pub use core::{CoreMonitor, CoreSpec, CoreWindow};
 pub use server::{serve_fleet, FleetServerHandle, FleetServerOptions};
 pub use shard::{

@@ -1,110 +1,68 @@
 //! The fleet endpoint: per-core routing, admission control, and
-//! batched event streaming over one zero-dependency TCP listener.
-//!
-//! Routes:
+//! batched event streaming, served as [`Routes`] on the shared
+//! introspect edge.
 //!
 //! * `GET /fleet/metrics` — Prometheus-style text of the current
 //!   [`FleetAggregate`](crate::aggregate::FleetAggregate): quantile
 //!   power, coverage (`fleet_cores_reporting` / `fleet_cores_total`),
 //!   degraded-shard count and the per-unit attribution rollup.
 //! * `GET /fleet/events` — streaming JSONL of every shard's
-//!   [`WindowBatch`](crate::batch::WindowBatch)es (one columnar record
-//!   per shard per window round).
-//! * `GET /cores/<id>/metrics` — latest sample for one core.
+//!   [`WindowBatch`](crate::batch::WindowBatch)es.
+//! * `GET /cores/<id>/metrics` — latest sample for one core; a
+//!   configured core with no sample yet (its shard is starting or
+//!   parked) answers `503` + `Retry-After`, an unknown id `404`.
 //! * `GET /cores/<id>/events` — that core's rows projected out of its
 //!   shard's batches, with a per-subscriber dense `seq`.
-//! * `GET /healthz` / `GET /status` — shard health from the shared
-//!   [`HealthRegistry`]: a fleet with a `Degraded` shard answers `503`
-//!   on `/healthz` while every other route keeps serving.
-//! * `GET /shutdown` — raises the shared stop flag.
 //!
-//! The protocol edge reuses the introspect server's hardened
-//! primitives ([`read_request_head`], bounded lines, read/write
-//! timeouts, connection cap), so both serving layers shed and fail
-//! identically. On top of that the fleet adds **admission control**:
-//! when a shard hub's deepest subscriber queue crosses
-//! [`FleetServerOptions::watermark`], new event subscriptions are shed
-//! with `503` + `Retry-After` instead of being admitted into an
-//! already-backlogged fan-out.
+//! The edge ([`serve_routes`]) supplies `/`, `/healthz` and `/status`
+//! (from the shards' health registry, so a `Degraded` shard turns
+//! `/healthz` to `503` while every other route keeps serving),
+//! `/shutdown`, timeouts, the connection cap and lingering close, so
+//! both serving layers shed and fail identically. On top of it the
+//! fleet adds **admission control**: when a shard hub's deepest queue
+//! crosses [`FleetServerOptions::watermark`], new event subscriptions
+//! are shed with `503` + `Retry-After`.
 
-use crate::shard::ShardRuntime;
+use crate::shard::{now_ns, ShardRuntime};
 use apollo_introspect::server::{
-    is_timeout, read_request_head, respond, respond_with_headers,
+    respond, respond_with_headers, serve_routes, shed, stream_head, stream_line, Routes,
+    ServerHandle, ServerOptions, RETRY_AFTER_S,
 };
 use apollo_introspect::sync::plock;
+use apollo_introspect::Poll;
 use apollo_telemetry::FieldValue;
 use std::fmt::Write as _;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Fleet serving knobs (superset of the introspect server's hardening
-/// options, plus the admission-control watermark).
+/// Fleet serving knobs: the shared edge's hardening options plus the
+/// admission-control watermark.
 #[derive(Clone, Debug)]
 pub struct FleetServerOptions {
-    /// Per-connection read timeout (stalled request ⇒ `408`).
-    pub read_timeout: Duration,
-    /// Per-connection write timeout (stalled event client ⇒ eviction).
-    pub write_timeout: Duration,
-    /// Maximum concurrent connection handlers; excess peers get `503`
-    /// + `Retry-After`.
-    pub max_conns: usize,
-    /// Byte cap on any single request or header line (`400` beyond).
-    pub max_line_bytes: usize,
+    /// Edge hardening (timeouts, connection cap, line cap). Its
+    /// `health` is always the runtime's shard registry.
+    pub server: ServerOptions,
     /// Admission watermark: a new event subscription against a shard
     /// hub whose deepest queue exceeds this is shed with `503`.
     pub watermark: usize,
-    /// Advisory retry delay attached to every load-shedding `503`
-    /// (rendered as a whole-second `Retry-After` header, rounded up).
-    pub retry_after_ms: u64,
 }
 
 impl Default for FleetServerOptions {
     fn default() -> Self {
         FleetServerOptions {
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_conns: 256,
-            max_line_bytes: 8 * 1024,
+            server: ServerOptions {
+                max_conns: 256,
+                ..ServerOptions::default()
+            },
             watermark: 128,
-            retry_after_ms: 1000,
         }
     }
 }
 
 /// Running fleet server: bound address plus lifecycle control.
-pub struct FleetServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    runtime: Arc<ShardRuntime>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl FleetServerHandle {
-    /// The bound listen address (resolves port 0 to the real port).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the server: raises the stop flag, closes every shard hub
-    /// (ending all event streams), and joins all server threads.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.runtime.close();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *plock(&self.conns));
-        for h in conns {
-            let _ = h.join();
-        }
-    }
-}
+pub type FleetServerHandle = ServerHandle;
 
 /// Binds `listen` (port 0 picks a free port) and serves the fleet
 /// runtime until `stop` becomes true.
@@ -117,182 +75,83 @@ pub fn serve_fleet(
     stop: Arc<AtomicBool>,
     opts: FleetServerOptions,
 ) -> std::io::Result<FleetServerHandle> {
-    let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let stop = Arc::clone(&stop);
-        let runtime = Arc::clone(&runtime);
-        let conns = Arc::clone(&conns);
-        std::thread::spawn(move || accept_loop(&listener, &runtime, &stop, &conns, &opts))
+    let server = ServerOptions {
+        health: Some(Arc::clone(&runtime.health)),
+        ..opts.server
     };
-    Ok(FleetServerHandle {
-        addr,
-        stop,
+    let routes = FleetRoutes {
         runtime,
-        accept: Some(accept),
-        conns,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    runtime: &Arc<ShardRuntime>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    opts: &FleetServerOptions,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let live = {
-                    let mut guard = plock(conns);
-                    let (done, alive): (Vec<_>, Vec<_>) = std::mem::take(&mut *guard)
-                        .into_iter()
-                        .partition(JoinHandle::is_finished);
-                    *guard = alive;
-                    drop(guard);
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    plock(conns).len()
-                };
-                if live >= opts.max_conns {
-                    let _ = stream.set_write_timeout(Some(opts.write_timeout));
-                    let _ = shed(&mut stream, "conn_cap", opts);
-                    continue;
-                }
-                let runtime = Arc::clone(runtime);
-                let stop = Arc::clone(stop);
-                let opts = opts.clone();
-                let handle = std::thread::spawn(move || {
-                    // Peer noise must never take the fleet endpoint down.
-                    let _ = handle_connection(stream, &runtime, &stop, &opts);
-                });
-                plock(conns).push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-/// Answers a load-shedding `503` with an advisory `Retry-After`.
-fn shed(out: &mut TcpStream, reason: &str, opts: &FleetServerOptions) -> std::io::Result<()> {
-    apollo_telemetry::counter("fleet.http.shed").inc();
-    apollo_telemetry::emit_event(
-        "fleet.shed",
-        &[
-            ("reason", FieldValue::from(reason)),
-            ("retry_after_ms", FieldValue::from(opts.retry_after_ms)),
-        ],
-    );
-    let secs = opts.retry_after_ms.div_ceil(1000).max(1);
-    respond_with_headers(
-        out,
-        "503 Service Unavailable",
-        "text/plain",
-        &[("Retry-After", &secs.to_string())],
-        "overloaded; retry later\n",
-    )
-}
-
-fn now_ns() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    runtime: &Arc<ShardRuntime>,
-    stop: &Arc<AtomicBool>,
-    opts: &FleetServerOptions,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(opts.read_timeout))?;
-    stream.set_write_timeout(Some(opts.write_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    let Some(path) = read_request_head(&mut reader, &mut out, opts.max_line_bytes)? else {
-        return Ok(());
+        watermark: opts.watermark,
     };
-    match path.as_str() {
-        "/" => respond(
-            &mut out,
-            "200 OK",
-            "text/plain; charset=utf-8",
-            "apollo fleet: /fleet/metrics, /fleet/events, /cores/<id>/metrics, /cores/<id>/events, /healthz, /status, /shutdown\n",
-        ),
-        "/healthz" => {
-            let healthy = runtime.health.healthy();
-            apollo_telemetry::counter("fleet.healthz.scrapes").inc();
-            if healthy {
-                respond(&mut out, "200 OK", "text/plain", "ok\n")
-            } else {
-                respond(&mut out, "503 Service Unavailable", "text/plain", "degraded\n")
+    serve_routes(listen, Arc::new(routes), stop, server)
+}
+
+struct FleetRoutes {
+    runtime: Arc<ShardRuntime>,
+    watermark: usize,
+}
+
+impl Routes for FleetRoutes {
+    fn name(&self) -> &'static str {
+        "fleet"
+    }
+
+    fn index(&self) -> &'static str {
+        "apollo fleet: /fleet/metrics, /fleet/events, /cores/<id>/metrics, /cores/<id>/events"
+    }
+
+    fn route(
+        &self,
+        path: &str,
+        out: &mut TcpStream,
+        stop: &AtomicBool,
+    ) -> Option<std::io::Result<()>> {
+        let runtime = &self.runtime;
+        let backlogged = |shard: usize| runtime.hubs[shard].max_depth() > self.watermark;
+        Some(match path {
+            "/fleet/metrics" => {
+                let agg = runtime.snapshot(now_ns());
+                apollo_telemetry::counter("fleet.scrapes").inc();
+                apollo_telemetry::emit_event(
+                    "fleet.coverage",
+                    &[
+                        ("window", FieldValue::from(agg.window)),
+                        ("cores_reporting", FieldValue::from(agg.cores_reporting)),
+                        ("cores_total", FieldValue::from(agg.cores_total)),
+                    ],
+                );
+                respond(out, "200 OK", "text/plain; version=0.0.4", &fleet_gauges(&agg))
             }
-        }
-        "/status" => {
-            let snap = runtime.health.snapshot(Vec::new());
-            let status = if snap.healthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            let body = format!("{}\n", snap.to_jsonl());
-            respond(&mut out, status, "application/json", &body)
-        }
-        "/fleet/metrics" => {
-            let agg = runtime.snapshot(now_ns());
-            apollo_telemetry::counter("fleet.scrapes").inc();
-            apollo_telemetry::emit_event(
-                "fleet.coverage",
-                &[
-                    ("window", FieldValue::from(agg.window)),
-                    ("cores_reporting", FieldValue::from(agg.cores_reporting)),
-                    ("cores_total", FieldValue::from(agg.cores_total)),
-                ],
-            );
-            respond(&mut out, "200 OK", "text/plain; version=0.0.4", &fleet_gauges(&agg))
-        }
-        "/fleet/events" => {
-            if runtime.hubs.iter().any(|h| h.max_depth() > opts.watermark) {
-                return shed(&mut out, "watermark", opts);
+            "/fleet/events" if (0..runtime.hubs.len()).any(backlogged) => {
+                shed(out, "fleet", "watermark")
             }
-            stream_fleet_events(&mut out, runtime, stop)
-        }
-        "/shutdown" => {
-            stop.store(true, Ordering::Relaxed);
-            respond(&mut out, "200 OK", "text/plain", "shutting down\n")
-        }
-        p => {
-            if let Some(rest) = p.strip_prefix("/cores/") {
-                match rest.split_once('/') {
-                    Some((core, "metrics")) => return core_metrics(&mut out, runtime, core),
-                    Some((core, "events")) => {
-                        let Some(&shard) = runtime.core_shard.get(core) else {
-                            return respond(&mut out, "404 Not Found", "text/plain", "unknown core\n");
-                        };
-                        if runtime.hubs[shard].max_depth() > opts.watermark {
-                            return shed(&mut out, "watermark", opts);
-                        }
-                        return stream_core_events(&mut out, runtime, shard, core, stop);
-                    }
-                    _ => {}
+            "/fleet/events" => stream_fleet_events(out, runtime, stop),
+            _ => {
+                let (core, leaf) = path.strip_prefix("/cores/")?.split_once('/')?;
+                if leaf != "metrics" && leaf != "events" {
+                    return None;
+                }
+                let Some(&shard) = runtime.core_shard.get(core) else {
+                    return Some(respond(out, "404 Not Found", "text/plain", "unknown core\n"));
+                };
+                if leaf == "metrics" {
+                    core_metrics(out, runtime, core)
+                } else if backlogged(shard) {
+                    shed(out, "fleet", "watermark")
+                } else {
+                    stream_core_events(out, runtime, shard, core, stop)
                 }
             }
-            respond(&mut out, "404 Not Found", "text/plain", "unknown path\n")
-        }
+        })
+    }
+
+    fn close(&self) {
+        self.runtime.close();
     }
 }
 
 /// Renders the fleet aggregate as Prometheus-style gauge text.
 fn fleet_gauges(agg: &crate::aggregate::FleetAggregate) -> String {
-    let mut body = String::new();
     let rows: [(&str, f64); 9] = [
         ("fleet_cores_total", agg.cores_total as f64),
         ("fleet_cores_reporting", agg.cores_reporting as f64),
@@ -304,10 +163,7 @@ fn fleet_gauges(agg: &crate::aggregate::FleetAggregate) -> String {
         ("fleet_alarms", agg.alarms as f64),
         ("fleet_energy", agg.energy),
     ];
-    for (name, value) in rows {
-        let _ = writeln!(body, "# TYPE {name} gauge");
-        let _ = writeln!(body, "{name} {value}");
-    }
+    let mut body = gauge_text(&rows, "");
     if !agg.unit_labels.is_empty() {
         let _ = writeln!(body, "# TYPE fleet_unit_raw gauge");
         for (label, raw) in agg.unit_labels.iter().zip(&agg.unit_raw) {
@@ -317,17 +173,19 @@ fn fleet_gauges(agg: &crate::aggregate::FleetAggregate) -> String {
     body
 }
 
-/// Latest single-core sample, or `404` for an unknown/parked core.
-fn core_metrics(
-    out: &mut TcpStream,
-    runtime: &Arc<ShardRuntime>,
-    core: &str,
-) -> std::io::Result<()> {
+/// Latest single-core sample of a configured core, or `503` +
+/// `Retry-After` while it has none (its shard is starting or parked).
+fn core_metrics(out: &mut TcpStream, runtime: &ShardRuntime, core: &str) -> std::io::Result<()> {
     let sample = plock(&runtime.aggregator).core_sample(core).cloned();
     let Some(s) = sample else {
-        return respond(out, "404 Not Found", "text/plain", "unknown core\n");
+        return respond_with_headers(
+            out,
+            "503 Service Unavailable",
+            "text/plain",
+            &[("Retry-After", &RETRY_AFTER_S.to_string())],
+            "core not reporting\n",
+        );
     };
-    let mut body = String::new();
     let rows: [(&str, f64); 5] = [
         ("fleet_core_window", s.window as f64),
         ("fleet_core_est_power", s.est_power),
@@ -335,53 +193,45 @@ fn core_metrics(
         ("fleet_core_alarms", s.alarms as f64),
         ("fleet_core_energy", s.energy),
     ];
-    for (name, value) in rows {
-        let _ = writeln!(body, "# TYPE {name} gauge");
-        let _ = writeln!(body, "{name}{{core=\"{core}\"}} {value}");
-    }
+    let body = gauge_text(&rows, &format!("{{core=\"{core}\"}}"));
     respond(out, "200 OK", "text/plain; version=0.0.4", &body)
 }
 
-fn write_ndjson_head(out: &mut TcpStream) -> std::io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
-    )?;
-    out.flush()
+/// One Prometheus gauge family per `(name, value)` row, each sample
+/// carrying `labels` (`""` or `{k="v",…}`).
+fn gauge_text(rows: &[(&str, f64)], labels: &str) -> String {
+    let mut body = String::new();
+    for (name, value) in rows {
+        let _ = writeln!(body, "# TYPE {name} gauge\n{name}{labels} {value}");
+    }
+    body
 }
 
 /// Streams every shard's batches (original per-shard `seq` kept) until
 /// all hubs close, the stop flag rises, or the client stalls out.
 fn stream_fleet_events(
     out: &mut TcpStream,
-    runtime: &Arc<ShardRuntime>,
-    stop: &Arc<AtomicBool>,
+    runtime: &ShardRuntime,
+    stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    use crate::batch::BatchPoll;
-    let subs: Vec<_> = runtime.hubs.iter().map(|h| h.subscribe()).collect();
-    write_ndjson_head(out)?;
+    let subs: Vec<_> = runtime.hubs.iter().map(|h| h.subscribe().0).collect();
+    stream_head(out)?;
     let mut open: Vec<bool> = vec![true; subs.len()];
     while open.iter().any(|&o| o) {
-        if stop.load(Ordering::Relaxed) && runtime.hubs.iter().all(|h| h.closed()) {
-            // Final drain below still runs for each open sub.
-        }
         let mut progressed = false;
         for (i, sub) in subs.iter().enumerate() {
             if !open[i] {
                 continue;
             }
             match sub.poll(Duration::from_millis(20)) {
-                BatchPoll::Batch(b) => {
+                Poll::Body(b) => {
                     progressed = true;
-                    if let Err(e) = writeln!(out, "{}", b.to_jsonl()).and_then(|()| out.flush()) {
-                        if is_timeout(&e) {
-                            apollo_telemetry::counter("fleet.http.slow_evicted").inc();
-                        }
+                    if stream_line(out, &b.to_jsonl(), "fleet").is_err() {
                         return Ok(());
                     }
                 }
-                BatchPoll::Timeout => {}
-                BatchPoll::Closed => open[i] = false,
+                Poll::Timeout => {}
+                Poll::Closed => open[i] = false,
             }
         }
         if !progressed && stop.load(Ordering::Relaxed) && runtime.hubs.iter().all(|h| h.closed()) {
@@ -396,35 +246,30 @@ fn stream_fleet_events(
 /// even after hub-side drops).
 fn stream_core_events(
     out: &mut TcpStream,
-    runtime: &Arc<ShardRuntime>,
+    runtime: &ShardRuntime,
     shard: usize,
     core: &str,
-    stop: &Arc<AtomicBool>,
+    stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    use crate::batch::BatchPoll;
-    let sub = runtime.hubs[shard].subscribe();
-    write_ndjson_head(out)?;
+    let (sub, _) = runtime.hubs[shard].subscribe();
+    stream_head(out)?;
     let mut seq = 0u64;
     loop {
         match sub.poll(Duration::from_millis(100)) {
-            BatchPoll::Batch(b) => {
+            Poll::Body(b) => {
                 let Some(row) = b.project_core(core, seq) else {
                     continue;
                 };
                 seq += 1;
-                if let Err(e) = writeln!(out, "{}", row.to_jsonl()).and_then(|()| out.flush()) {
-                    if is_timeout(&e) {
-                        apollo_telemetry::counter("fleet.http.slow_evicted").inc();
-                    }
+                if stream_line(out, &row.to_jsonl(), "fleet").is_err() {
                     return Ok(());
                 }
             }
-            BatchPoll::Timeout => {
-                if stop.load(Ordering::Relaxed) && runtime.hubs[shard].closed() {
-                    return Ok(());
-                }
+            Poll::Timeout if stop.load(Ordering::Relaxed) && runtime.hubs[shard].closed() => {
+                return Ok(());
             }
-            BatchPoll::Closed => return Ok(()),
+            Poll::Timeout => {}
+            Poll::Closed => return Ok(()),
         }
     }
 }
@@ -433,36 +278,14 @@ fn stream_core_events(
 mod tests {
     use super::*;
     use crate::aggregate::FleetAggregator;
-    use crate::batch::{BatchHub, WindowBatch};
-    use crate::core::CoreWindow;
+    use crate::batch::{test_batch, BatchHub, WindowBatch};
     use apollo_introspect::server::http_get_lines;
     use apollo_introspect::{http_get, HealthRegistry};
     use apollo_telemetry::framing;
     use std::collections::BTreeMap;
+    use std::sync::Mutex;
 
-    fn test_batch(shard: u64, seq: u64, window: u64, cores: &[&str]) -> WindowBatch {
-        let rows: Vec<(String, Vec<String>, CoreWindow)> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, id)| {
-                (
-                    (*id).to_owned(),
-                    vec!["alu".to_owned()],
-                    CoreWindow {
-                        window,
-                        est_power: 1.0 + i as f64,
-                        true_power: 1.0,
-                        raw: 4,
-                        out: 1,
-                        alarms: 0,
-                        energy: 8.0,
-                        unit_raw: vec![4],
-                    },
-                )
-            })
-            .collect();
-        WindowBatch::from_rows(shard, seq, window, &rows)
-    }
+    const TWO_CORES: &[(&str, f64, &[u64])] = &[("c0", 1.0, &[4]), ("c1", 2.0, &[4])];
 
     fn test_runtime(cores: &[&str]) -> Arc<ShardRuntime> {
         let mut core_shard = BTreeMap::new();
@@ -492,7 +315,7 @@ mod tests {
     #[test]
     fn routes_serve_fleet_and_core_metrics() {
         let runtime = test_runtime(&["c0", "c1"]);
-        plock(&runtime.aggregator).ingest(&test_batch(0, 0, 3, &["c0", "c1"]));
+        plock(&runtime.aggregator).ingest(&test_batch(0, 0, 3, TWO_CORES));
         let (server, addr, _stop) = start(&runtime, FleetServerOptions::default());
         let index = http_get_lines(&addr, "/", None).unwrap();
         assert!(index[0].contains("/fleet/metrics"), "{index:?}");
@@ -502,7 +325,7 @@ mod tests {
             "{metrics:?}"
         );
         assert!(
-            metrics.iter().any(|l| l == "fleet_unit_raw{unit=\"alu\"} 8"),
+            metrics.iter().any(|l| l == "fleet_unit_raw{unit=\"u0\"} 8"),
             "{metrics:?}"
         );
         let core = http_get_lines(&addr, "/cores/c1/metrics", None).unwrap();
@@ -514,6 +337,23 @@ mod tests {
         assert_eq!(missing.status, 404);
         let health = http_get_lines(&addr, "/healthz", None).unwrap();
         assert_eq!(health, vec!["ok"]);
+        server.stop();
+    }
+
+    #[test]
+    fn configured_core_without_a_sample_is_503_not_404() {
+        // c1 is configured but its shard has not published yet; zz
+        // was never configured.
+        let runtime = test_runtime(&["c0", "c1"]);
+        plock(&runtime.aggregator).ingest(&test_batch(0, 0, 0, &[("c0", 1.0, &[4])]));
+        let (server, addr, _stop) = start(&runtime, FleetServerOptions::default());
+        let get = |path: &str| http_get(&addr, path, None, Duration::from_secs(5)).unwrap();
+        assert_eq!(get("/cores/c0/metrics").status, 200);
+        let pending = get("/cores/c1/metrics");
+        assert_eq!(pending.status, 503);
+        assert_eq!(pending.retry_after_ms, Some(RETRY_AFTER_S * 1000));
+        assert_eq!(pending.lines, vec!["core not reporting"]);
+        assert_eq!(get("/cores/zz/metrics").status, 404);
         server.stop();
     }
 
@@ -534,19 +374,18 @@ mod tests {
         let runtime = test_runtime(&["c0"]);
         let opts = FleetServerOptions {
             watermark: 1,
-            retry_after_ms: 2500,
             ..FleetServerOptions::default()
         };
         // A parked subscriber backs the hub queue up past the
         // watermark before the scrape arrives.
         let parked = runtime.hubs[0].subscribe();
         for seq in 0..3 {
-            runtime.hubs[0].publish(test_batch(0, seq, seq, &["c0"]));
+            runtime.hubs[0].publish(test_batch(0, seq, seq, &[("c0", 1.0, &[4])]));
         }
         let (server, addr, _stop) = start(&runtime, opts);
         let res = http_get(&addr, "/fleet/events", None, Duration::from_secs(5)).unwrap();
         assert_eq!(res.status, 503);
-        assert_eq!(res.retry_after_ms, Some(3000), "2500ms rounds up to 3s");
+        assert_eq!(res.retry_after_ms, Some(RETRY_AFTER_S * 1000));
         let res = http_get(&addr, "/cores/c0/events", None, Duration::from_secs(5)).unwrap();
         assert_eq!(res.status, 503);
         drop(parked);
@@ -562,7 +401,7 @@ mod tests {
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(150));
                 for seq in 0..4u64 {
-                    runtime.hubs[0].publish(test_batch(0, seq, seq, &["c0", "c1"]));
+                    runtime.hubs[0].publish(test_batch(0, seq, seq, TWO_CORES));
                 }
                 runtime.hubs[0].close();
             })

@@ -22,16 +22,17 @@
 
 use crate::aggregate::{FleetAggregate, FleetAggregator};
 use crate::batch::{BatchHub, WindowBatch};
-use crate::core::{CoreMonitor, CoreSpec, CoreWindow};
 use apollo_core::{ApolloModel, DesignContext};
+use apollo_introspect::supervisor::{sleep_sliced, supervise, Supervision};
 use apollo_introspect::sync::plock;
-use apollo_introspect::{panic_text, BackoffPolicy, Decision, HealthRegistry, PipelineState};
+use apollo_introspect::{
+    BackoffPolicy, CoreMonitor, CoreSpec, CoreWindow, Decision, HealthRegistry, PipelineState,
+};
 use apollo_telemetry::FieldValue;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A seeded shard-kill instruction: panic shard `shard` immediately
 /// after it publishes window round `window` of attempt `attempt`.
@@ -118,7 +119,7 @@ impl ShardRuntime {
             }
         }
         Arc::new(ShardRuntime {
-            hubs: (0..shards.len()).map(|_| BatchHub::new(cfg.hub_cap)).collect(),
+            hubs: (0..shards.len()).map(|_| BatchHub::new(cfg.hub_cap.max(1))).collect(),
             health: Arc::new(HealthRegistry::new()),
             aggregator: Mutex::new(FleetAggregator::new(cores_total, cfg.lag_windows)),
             core_shard,
@@ -203,22 +204,13 @@ pub fn shard_cores(specs: Vec<CoreSpec>, n_shards: usize) -> Vec<Vec<CoreSpec>> 
     shards
 }
 
-fn now_ns() -> u64 {
+/// Wall-clock nanoseconds since the Unix epoch (0 if the clock is
+/// before it) — the only source of `ts_ns` stamps in this crate.
+pub(crate) fn now_ns() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0)
-}
-
-/// Stop-sliced sleep: wakes every 20 ms to poll the stop flag, so a
-/// `/shutdown` never waits out a long backoff.
-fn sleep_sliced(ms: u64, stop: &AtomicBool) {
-    let mut left = ms;
-    while left > 0 && !stop.load(Ordering::Relaxed) {
-        let step = left.min(20);
-        std::thread::sleep(Duration::from_millis(step));
-        left -= step;
-    }
 }
 
 /// Runs the fleet to completion: one thread per shard, joined in
@@ -232,23 +224,19 @@ pub fn run_fleet(
     runtime: &Arc<ShardRuntime>,
     stop: &Arc<AtomicBool>,
 ) -> FleetReport {
-    let handles: Vec<_> = shards
-        .iter()
-        .enumerate()
-        .map(|(k, specs)| {
-            let ctx = Arc::clone(ctx);
-            let model = Arc::clone(model);
-            let specs = specs.clone();
-            let cfg = cfg.clone();
-            let runtime = Arc::clone(runtime);
-            let stop = Arc::clone(stop);
-            std::thread::spawn(move || run_shard(&ctx, &model, k, &specs, &cfg, &runtime, &stop))
-        })
-        .collect();
-    let outcomes: Vec<ShardOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("shard threads never propagate panics"))
-        .collect();
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter()
+            .enumerate()
+            .map(|(k, specs)| {
+                scope.spawn(move || run_shard(ctx, model, k, specs, cfg, runtime, stop))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard threads never propagate panics"))
+            .collect()
+    });
     let aggregate = runtime.snapshot(0);
     FleetReport {
         outcomes,
@@ -257,7 +245,6 @@ pub fn run_fleet(
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_shard(
     ctx: &DesignContext,
     model: &ApolloModel,
@@ -273,23 +260,24 @@ fn run_shard(
     // against this instant keeps sibling shards aligned and lets a
     // restarted shard catch back up to the fleet schedule.
     let started = std::time::Instant::now();
-    let mut decisions: Vec<Decision> = Vec::new();
     let mut batches: Vec<String> = Vec::new();
     // Durable across attempts: the dense batch seq and the published
     // high-water mark (replayed rounds below it are suppressed).
     let mut seq = 0u64;
-    let mut windows_done = 0u64;
-    let mut failures = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        decisions.push(Decision::Start {
-            attempt,
-            resume: windows_done > 0,
-        });
-        runtime
-            .health
-            .report_state(&shard_id, "starting", u64::from(attempt), 0);
-        let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+    let windows_done = Cell::new(0u64);
+    let unit = Supervision {
+        row: &shard_id,
+        subject: ("shard", FieldValue::from(k)),
+        events: "fleet.shard",
+        panic_prefix: "",
+        backoff: cfg.backoff,
+        health: Some(&runtime.health),
+        stop,
+    };
+    let run = supervise(
+        &unit,
+        || windows_done.get() > 0,
+        |attempt| {
             let mut monitors: Vec<CoreMonitor<'_>> = specs
                 .iter()
                 .map(|s| CoreMonitor::new(ctx, model, s).map_err(|e| e.to_string()))
@@ -297,16 +285,13 @@ fn run_shard(
             let labels: Vec<Vec<String>> =
                 monitors.iter().map(|m| m.unit_labels().to_vec()).collect();
             let mut round = 0u64;
-            while cfg.windows == 0 || round < cfg.windows {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while (cfg.windows == 0 || round < cfg.windows) && !stop.load(Ordering::Relaxed) {
                 let rows: Vec<(String, Vec<String>, CoreWindow)> = monitors
                     .iter_mut()
                     .enumerate()
                     .map(|(i, m)| (specs[i].id.clone(), labels[i].clone(), m.step_window()))
                     .collect();
-                if round >= windows_done {
+                if round >= windows_done.get() {
                     let alarms: u64 = rows.iter().map(|(_, _, w)| w.alarms).sum();
                     let mut batch = WindowBatch::from_rows(k as u64, seq, round, &rows);
                     batch.ts_ns = now_ns();
@@ -314,13 +299,16 @@ fn run_shard(
                     if cfg.collect_batches {
                         batches.push(batch.strip_timing().to_jsonl());
                     }
-                    hub.publish(batch);
+                    let dropped = hub.publish(batch);
+                    if dropped > 0 {
+                        apollo_telemetry::counter("fleet.hub.dropped").add(dropped);
+                    }
                     seq += 1;
-                    windows_done = round + 1;
+                    windows_done.set(round + 1);
                     apollo_telemetry::counter("fleet.windows").inc();
                     runtime
                         .health
-                        .report_window(&shard_id, windows_done, 0, alarms, false, 0);
+                        .report_window(&shard_id, round + 1, 0, alarms, false, 0);
                     if cfg
                         .kills
                         .iter()
@@ -329,86 +317,30 @@ fn run_shard(
                         panic!("chaos: injected shard kill after window {round}");
                     }
                     if cfg.pace_ms > 0 {
-                        let target_ms = windows_done.saturating_mul(cfg.pace_ms);
+                        let target_ms = (round + 1).saturating_mul(cfg.pace_ms);
                         let elapsed_ms = started.elapsed().as_millis() as u64;
-                        if target_ms > elapsed_ms {
-                            sleep_sliced(target_ms - elapsed_ms, stop);
-                        }
+                        sleep_sliced(target_ms.saturating_sub(elapsed_ms), stop);
                     }
                 }
                 round += 1;
             }
-            Ok(())
-        }));
-        let reason = match result {
-            Ok(Ok(())) => {
-                decisions.push(Decision::Completed {
-                    attempt,
-                    windows: windows_done,
-                });
-                runtime
-                    .health
-                    .report_state(&shard_id, "completed", u64::from(attempt), 0);
-                return ShardOutcome {
-                    shard: k,
-                    state: PipelineState::Completed,
-                    attempts: attempt + 1,
-                    windows: windows_done,
-                    decisions,
-                    batches,
-                };
+            Ok((windows_done.get(), ()))
+        },
+        |degraded| {
+            apollo_telemetry::counter("fleet.shard.failures").inc();
+            if degraded {
+                let mut agg = plock(&runtime.aggregator);
+                agg.remove_shard(k as u64);
+                apollo_telemetry::gauge("fleet.shards.degraded").set(agg.shards_degraded() as f64);
             }
-            Ok(Err(spec_err)) => spec_err,
-            Err(payload) => panic_text(payload.as_ref()).to_owned(),
-        };
-        failures += 1;
-        decisions.push(Decision::Failed {
-            attempt,
-            reason: reason.clone(),
-        });
-        apollo_telemetry::counter("fleet.shard.failures").inc();
-        if failures >= cfg.backoff.give_up {
-            decisions.push(Decision::Degraded { failures });
-            runtime
-                .health
-                .report_state(&shard_id, "degraded", u64::from(attempt), 0);
-            plock(&runtime.aggregator).remove_shard(k as u64);
-            apollo_telemetry::gauge("fleet.shards.degraded")
-                .set(plock(&runtime.aggregator).shards_degraded() as f64);
-            apollo_telemetry::emit_event(
-                "fleet.shard.degraded",
-                &[
-                    ("shard", FieldValue::from(k)),
-                    ("failures", FieldValue::from(u64::from(failures))),
-                ],
-            );
-            return ShardOutcome {
-                shard: k,
-                state: PipelineState::Degraded,
-                attempts: attempt + 1,
-                windows: windows_done,
-                decisions,
-                batches,
-            };
-        }
-        let delay_ms = cfg.backoff.delay_ms(failures);
-        decisions.push(Decision::Backoff { failures, delay_ms });
-        runtime.health.report_state(
-            &shard_id,
-            "backoff",
-            u64::from(attempt + 1),
-            u64::from(failures),
-        );
-        apollo_telemetry::emit_event(
-            "fleet.shard.restart",
-            &[
-                ("shard", FieldValue::from(k)),
-                ("attempt", FieldValue::from(u64::from(attempt + 1))),
-                ("delay_ms", FieldValue::from(delay_ms)),
-                ("reason", FieldValue::from(reason.as_str())),
-            ],
-        );
-        sleep_sliced(delay_ms, stop);
-        attempt += 1;
+        },
+    );
+    ShardOutcome {
+        shard: k,
+        state: run.state,
+        attempts: run.attempts,
+        windows: windows_done.get(),
+        decisions: run.decisions,
+        batches,
     }
 }

@@ -21,8 +21,9 @@
 //! live here so the differential tests and the `repro_chaos` bench
 //! binary share one implementation.
 
+use crate::client::send_get;
 use crate::supervisor::InjectedPanic;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -223,54 +224,13 @@ pub fn churn_connections(addr: &str, count: u32) {
 /// `hold_ms`, then reads whatever is left until the server closes or
 /// evicts. Returns the number of body lines ultimately received.
 pub fn stall_subscriber(addr: &str, hold_ms: u64) -> usize {
-    let Ok(stream) = TcpStream::connect(addr) else {
+    let Ok(stream) = send_get(addr, "/events", Duration::from_secs(2)) else {
         return 0;
     };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut out = match stream.try_clone() {
-        Ok(o) => o,
-        Err(_) => return 0,
-    };
-    if write!(
-        out,
-        "GET /events HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .and_then(|()| out.flush())
-    .is_err()
-    {
-        return 0;
-    }
     // Stall: hold the socket without reading.
     std::thread::sleep(Duration::from_millis(hold_ms));
     // Then drain what's left (possibly nothing if we were evicted).
-    let mut r = BufReader::new(stream);
-    let mut lines = 0usize;
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        match r.read_until(b'\n', &mut buf) {
-            Ok(0) => break,
-            Ok(_) => lines += 1,
-            Err(_) => break,
-        }
-    }
-    lines
-}
-
-/// Drains a socket fully (helper for drivers that only care that the
-/// server answered *something* without hanging).
-pub fn drain(stream: TcpStream) -> usize {
-    let mut r = BufReader::new(stream);
-    let mut total = 0usize;
-    let mut buf = [0u8; 4096];
-    while let Ok(n) = r.read(&mut buf) {
-        if n == 0 {
-            break;
-        }
-        total += n;
-    }
-    total
+    BufReader::new(stream).split(b'\n').map_while(Result::ok).count()
 }
 
 #[cfg(test)]

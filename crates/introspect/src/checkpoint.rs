@@ -23,6 +23,7 @@
 //! reconstruct the exact machine state (see
 //! [`run_monitor_with`](crate::monitor::run_monitor_with)).
 
+use crate::core::CoreSpec;
 use crate::ring::HistoryAggregates;
 use apollo_opm::{DriftDetector, FailSafeArm};
 use std::io::Write;
@@ -231,37 +232,24 @@ pub fn load_snapshot(path: &Path) -> Result<MonitorSnapshot, CheckpointError> {
 /// [`CheckpointError::Mismatch`] naming the first differing field.
 pub fn check_compatible(
     snap: &MonitorSnapshot,
-    pipeline: &str,
+    spec: &CoreSpec,
     design: &str,
-    bench: &str,
-    window_t: usize,
-    bits: u8,
+    classes: usize,
 ) -> Result<(), CheckpointError> {
-    let want = [
-        ("pipeline", snap.pipeline.as_str(), pipeline),
-        ("design", snap.design.as_str(), design),
-        ("bench", snap.bench.as_str(), bench),
+    let fields = [
+        ("pipeline", snap.pipeline.clone(), spec.id.clone()),
+        ("design", snap.design.clone(), design.to_owned()),
+        ("bench", snap.bench.clone(), spec.bench.name.clone()),
+        ("window_t", snap.window_t.to_string(), spec.window_t.to_string()),
+        ("bits", snap.bits.to_string(), spec.bits.to_string()),
+        ("attribution classes", snap.unit_energy.len().to_string(), classes.to_string()),
     ];
-    for (what, got, expect) in want {
-        if got != expect {
-            return Err(CheckpointError::Mismatch(format!(
-                "{what} `{got}` != `{expect}`"
-            )));
-        }
+    match fields.into_iter().find(|(_, got, want)| got != want) {
+        Some((what, got, want)) => Err(CheckpointError::Mismatch(format!(
+            "{what} `{got}` != `{want}`"
+        ))),
+        None => Ok(()),
     }
-    if snap.window_t != window_t {
-        return Err(CheckpointError::Mismatch(format!(
-            "window_t {} != {window_t}",
-            snap.window_t
-        )));
-    }
-    if snap.bits != bits {
-        return Err(CheckpointError::Mismatch(format!(
-            "bits {} != {bits}",
-            snap.bits
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -380,11 +368,21 @@ mod tests {
     #[test]
     fn compatibility_check_names_the_differing_field() {
         let snap = sample_snapshot();
-        assert!(check_compatible(&snap, "p0", "tiny", "dhrystone", 32, 10).is_ok());
-        let err = check_compatible(&snap, "p0", "tiny", "dhrystone", 64, 10).unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch(ref e) if e.contains("window_t")));
-        let err = check_compatible(&snap, "p0", "n1", "dhrystone", 32, 10).unwrap_err();
+        let mut spec = CoreSpec {
+            id: "p0".into(),
+            bench: apollo_cpu::benchmarks::dhrystone(),
+            window_t: 32,
+            bits: 10,
+            drift: DriftConfig::default(),
+        };
+        assert!(check_compatible(&snap, &spec, "tiny", 3).is_ok());
+        let err = check_compatible(&snap, &spec, "n1", 3).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(ref e) if e.contains("design")));
+        let err = check_compatible(&snap, &spec, "tiny", 4).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(ref e) if e.contains("classes")));
+        spec.window_t = 64;
+        let err = check_compatible(&snap, &spec, "tiny", 3).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(ref e) if e.contains("window_t")));
     }
 
     #[test]

@@ -59,6 +59,24 @@ pub struct HttpResponse {
     pub lines: Vec<String>,
 }
 
+/// Connects to `addr` and sends `GET path` with both socket timeouts
+/// set to `timeout`; the returned stream is ready to read the answer.
+///
+/// # Errors
+/// Returns connection and write errors.
+pub fn send_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    // One write_all for the whole request: a formatted write would
+    // issue one syscall per fragment, and a server that answers after
+    // the first fragment (stub servers, aggressive shedders) would
+    // reset the socket mid-request.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    (&stream).write_all(request.as_bytes())?;
+    Ok(stream)
+}
+
 /// One-shot GET returning the full parsed response instead of folding
 /// non-200s into errors: the retry loop needs the status code and
 /// `Retry-After` to classify the outcome.
@@ -72,18 +90,7 @@ pub fn http_get(
     max_lines: Option<usize>,
     timeout: Duration,
 ) -> std::io::Result<HttpResponse> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut out = stream.try_clone()?;
-    // One write_all for the whole request: a formatted write would
-    // issue one syscall per fragment, and a server that answers after
-    // the first fragment (stub servers, aggressive shedders) would
-    // reset the socket mid-request.
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    out.write_all(request.as_bytes())?;
-    out.flush()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(send_get(addr, path, timeout)?);
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     let status: u16 = status_line

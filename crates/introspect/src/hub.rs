@@ -70,12 +70,223 @@ impl Default for DownsampleConfig {
     }
 }
 
-struct SubState {
+/// One subscriber's bounded queue plus the hub's per-subscriber `lane`.
+struct Queue<T, X> {
     id: u64,
-    queue: VecDeque<Traced>,
+    items: VecDeque<T>,
     dropped: u64,
-    /// Deliver 1 body in `stride` (1 = full rate).
-    stride: u32,
+    lane: X,
+}
+
+struct Lanes<T, X> {
+    subs: Vec<Queue<T, X>>,
+    next_id: u64,
+    closed: bool,
+    total_dropped: u64,
+}
+
+/// The bounded drop-oldest fan-out every hub is: each subscriber owns
+/// a queue of at most `cap` items (lane state copied from `proto`),
+/// publishing never blocks (a full queue loses its oldest item and
+/// counts the drop), and [`Fanout::close`] lets subscribers drain and
+/// then end. [`MonitorHub`] adds trace capture and downsampling.
+pub struct Fanout<T, X = ()> {
+    lanes: Mutex<Lanes<T, X>>,
+    cv: Condvar,
+    cap: usize,
+    proto: X,
+}
+
+impl<T: Clone> Fanout<T> {
+    /// A fan-out whose subscriber queues hold at most `cap` items.
+    ///
+    /// # Panics
+    /// Panics if `cap` is zero.
+    pub fn new(cap: usize) -> Arc<Self> {
+        Self::build(cap, ())
+    }
+
+    /// Pushes `item` onto every subscriber queue, dropping the oldest
+    /// item of a full one; returns the number dropped.
+    pub fn publish(&self, item: impl Into<T>) -> u64 {
+        self.publish_with(item.into(), |_| true, |_, _| {})
+    }
+}
+
+impl<T: Clone, X: Clone> Fanout<T, X> {
+    fn build(cap: usize, proto: X) -> Arc<Self> {
+        assert!(cap >= 1, "queue capacity must be at least 1");
+        let lanes = Lanes {
+            subs: Vec::new(),
+            next_id: 0,
+            closed: false,
+            total_dropped: 0,
+        };
+        Arc::new(Fanout {
+            lanes: Mutex::new(lanes),
+            cv: Condvar::new(),
+            cap,
+            proto,
+        })
+    }
+
+    /// Publishing with per-subscriber hooks: `admit` may withhold the
+    /// item from a subscriber, `settle(sub, dropped)` runs after each
+    /// push. Returns the number of items dropped.
+    fn publish_with(
+        &self,
+        item: T,
+        mut admit: impl FnMut(&mut X) -> bool,
+        mut settle: impl FnMut(&mut Queue<T, X>, bool),
+    ) -> u64 {
+        let mut lanes = plock(&self.lanes);
+        if lanes.closed || lanes.subs.is_empty() {
+            return 0;
+        }
+        let mut dropped = 0u64;
+        for sub in &mut lanes.subs {
+            if !admit(&mut sub.lane) {
+                continue;
+            }
+            let full = sub.items.len() == self.cap;
+            if full {
+                sub.items.pop_front();
+                sub.dropped += 1;
+                dropped += 1;
+            }
+            sub.items.push_back(item.clone());
+            settle(sub, full);
+        }
+        lanes.total_dropped += dropped;
+        drop(lanes);
+        self.cv.notify_all();
+        dropped
+    }
+
+    /// Registers a subscriber; returns its handle and the live count
+    /// after the registration.
+    pub fn subscribe(self: &Arc<Self>) -> (Subscription<T, X>, usize) {
+        let mut lanes = plock(&self.lanes);
+        let id = lanes.next_id;
+        lanes.next_id += 1;
+        lanes.subs.push(Queue {
+            id,
+            items: VecDeque::new(),
+            dropped: 0,
+            lane: self.proto.clone(),
+        });
+        let sub = Subscription {
+            fanout: Arc::clone(self),
+            id,
+        };
+        (sub, lanes.subs.len())
+    }
+
+    /// Closes the fan-out: wakes every blocked subscriber, which then
+    /// drains its queue and sees end-of-stream.
+    pub fn close(&self) {
+        plock(&self.lanes).closed = true;
+        self.cv.notify_all();
+    }
+
+    /// True once [`Fanout::close`] ran.
+    pub fn closed(&self) -> bool {
+        plock(&self.lanes).closed
+    }
+
+    /// Live subscriber count.
+    pub fn active(&self) -> usize {
+        plock(&self.lanes).subs.len()
+    }
+
+    /// Items dropped across all subscribers by backpressure.
+    pub fn total_dropped(&self) -> u64 {
+        plock(&self.lanes).total_dropped
+    }
+
+    /// Deepest subscriber queue (0 with no subscribers) — the fleet's
+    /// admission-control watermark input.
+    pub fn max_depth(&self) -> usize {
+        plock(&self.lanes).subs.iter().map(|s| s.items.len()).max().unwrap_or(0)
+    }
+
+    fn with_sub<R>(&self, id: u64, f: impl FnOnce(&Queue<T, X>) -> R) -> Option<R> {
+        plock(&self.lanes).subs.iter().find(|s| s.id == id).map(f)
+    }
+}
+
+/// What a subscriber poll returned.
+pub enum Poll<T = Box<Traced>> {
+    /// One item, in publish order.
+    Body(T),
+    /// Nothing arrived within the timeout; the stream is still live.
+    Timeout,
+    /// The hub closed and the queue is drained: end of stream.
+    Closed,
+}
+
+/// One consumer's handle onto a [`Fanout`]; dropping it deregisters.
+pub struct Subscription<T, X = ()> {
+    fanout: Arc<Fanout<T, X>>,
+    id: u64,
+}
+
+impl<T: Clone, X: Clone> Subscription<T, X> {
+    /// Hub-assigned subscriber id (stable for the subscription's
+    /// lifetime; used to label gauges and derive delivery-span ids).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Waits up to `timeout` for the next item.
+    pub fn poll(&self, timeout: Duration) -> Poll<T> {
+        let mut lanes = plock(&self.fanout.lanes);
+        let mut timed_out = false;
+        loop {
+            let closed = lanes.closed;
+            let Some(sub) = lanes.subs.iter_mut().find(|s| s.id == self.id) else {
+                return Poll::Closed;
+            };
+            if let Some(item) = sub.items.pop_front() {
+                return Poll::Body(item);
+            }
+            if closed {
+                return Poll::Closed;
+            }
+            if timed_out {
+                return Poll::Timeout;
+            }
+            let (guard, wait) = self
+                .fanout
+                .cv
+                .wait_timeout(lanes, timeout)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            lanes = guard;
+            // After a timeout, one last drain check before reporting it.
+            timed_out = wait.timed_out();
+        }
+    }
+
+    /// Items this subscriber lost to backpressure.
+    pub fn dropped(&self) -> u64 {
+        self.fanout.with_sub(self.id, |s| s.dropped).unwrap_or(0)
+    }
+}
+
+impl<T, X> Drop for Subscription<T, X> {
+    fn drop(&mut self) {
+        plock(&self.fanout.lanes).subs.retain(|s| s.id != self.id);
+        self.fanout.cv.notify_all();
+    }
+}
+
+/// A [`MonitorHub`] subscriber's adaptive-downsampling state.
+#[derive(Clone, Default)]
+pub struct Thinning {
+    /// The hub's policy (`None` = drop-oldest only).
+    cfg: Option<DownsampleConfig>,
+    /// Deliver 1 body in `2^shift`.
+    shift: u32,
     /// Publish tick, for stride phase.
     tick: u64,
     /// Bodies withheld by downsampling (not counted as drops).
@@ -84,21 +295,18 @@ struct SubState {
     clean_streak: u64,
 }
 
-struct HubInner {
-    subs: Vec<SubState>,
-    next_id: u64,
-    closed: bool,
-    total_dropped: u64,
-    peak_subs: usize,
+impl Thinning {
+    fn stride(&self) -> u32 {
+        1 << self.shift
+    }
 }
 
-/// Broadcast hub with per-subscriber bounded queues.
-pub struct MonitorHub {
-    inner: Mutex<HubInner>,
-    cv: Condvar,
-    queue_cap: usize,
-    downsample: Option<DownsampleConfig>,
-}
+/// Broadcast hub of `/events` bodies: a [`Fanout`] of traced bodies
+/// with optional adaptive downsampling.
+pub type MonitorHub = Fanout<Box<Traced>, Thinning>;
+
+/// One `/events` consumer's handle onto a [`MonitorHub`].
+pub type Subscriber = Subscription<Box<Traced>, Thinning>;
 
 impl MonitorHub {
     /// New hub whose subscriber queues hold at most `queue_cap` bodies
@@ -107,7 +315,7 @@ impl MonitorHub {
     /// # Panics
     /// Panics if `queue_cap` is zero.
     pub fn new(queue_cap: usize) -> Arc<Self> {
-        Self::build(queue_cap, None)
+        Self::build(queue_cap, Thinning::default())
     }
 
     /// New hub with per-subscriber adaptive downsampling on top of the
@@ -126,23 +334,11 @@ impl MonitorHub {
             cfg.trigger_drops >= 1 && cfg.promote_after >= 1,
             "downsample thresholds must be >= 1"
         );
-        Self::build(queue_cap, Some(cfg))
-    }
-
-    fn build(queue_cap: usize, downsample: Option<DownsampleConfig>) -> Arc<Self> {
-        assert!(queue_cap >= 1, "queue capacity must be at least 1");
-        Arc::new(MonitorHub {
-            inner: Mutex::new(HubInner {
-                subs: Vec::new(),
-                next_id: 0,
-                closed: false,
-                total_dropped: 0,
-                peak_subs: 0,
-            }),
-            cv: Condvar::new(),
-            queue_cap,
-            downsample,
-        })
+        let proto = Thinning {
+            cfg: Some(cfg),
+            ..Thinning::default()
+        };
+        Self::build(queue_cap, proto)
     }
 
     /// Publishes one body to every live subscriber (drop-oldest on a
@@ -152,54 +348,45 @@ impl MonitorHub {
     /// attributable to the producing window.
     pub fn publish(&self, body: &RecordBody) {
         let ctx = apollo_telemetry::current();
-        let item = Traced {
+        let item = Box::new(Traced {
             trace_id: ctx.trace_id,
             parent_id: ctx.span_id,
             body: body.clone(),
-        };
-        let mut inner = plock(&self.inner);
-        if inner.closed || inner.subs.is_empty() {
-            return;
-        }
-        let cap = self.queue_cap;
-        let mut dropped_now = 0u64;
+        });
         // Stride changes, reported after the lock drops.
         let mut adjusted: Vec<(u64, u32, u64)> = Vec::new();
-        for sub in &mut inner.subs {
-            let phase = sub.tick;
-            sub.tick += 1;
-            if sub.stride > 1 && phase % sub.stride as u64 != 0 {
-                sub.downsampled += 1;
-                continue;
-            }
-            if sub.queue.len() == cap {
-                sub.queue.pop_front();
-                sub.dropped += 1;
-                dropped_now += 1;
-                sub.drops_since_adjust += 1;
-                sub.clean_streak = 0;
+        let admit = |t: &mut Thinning| {
+            let phase = t.tick;
+            t.tick += 1;
+            let skip = !phase.is_multiple_of(u64::from(t.stride()));
+            t.downsampled += u64::from(skip);
+            !skip
+        };
+        let settle = |sub: &mut Queue<Box<Traced>, Thinning>, dropped: bool| {
+            let t = &mut sub.lane;
+            if dropped {
+                t.drops_since_adjust += 1;
+                t.clean_streak = 0;
             } else {
-                sub.clean_streak += 1;
+                t.clean_streak += 1;
             }
-            sub.queue.push_back(item.clone());
-            if let Some(ds) = &self.downsample {
-                if sub.drops_since_adjust >= ds.trigger_drops && sub.stride < ds.max_stride {
-                    sub.stride *= 2;
-                    sub.drops_since_adjust = 0;
-                    sub.clean_streak = 0;
-                    adjusted.push((sub.id, sub.stride, sub.dropped));
-                } else if sub.clean_streak >= ds.promote_after && sub.stride > 1 {
-                    sub.stride /= 2;
-                    sub.clean_streak = 0;
-                    sub.drops_since_adjust = 0;
-                    adjusted.push((sub.id, sub.stride, sub.dropped));
-                }
+            let Some(ds) = t.cfg else {
+                return;
+            };
+            if t.drops_since_adjust >= ds.trigger_drops && t.stride() < ds.max_stride {
+                t.shift += 1;
+            } else if t.clean_streak >= ds.promote_after && t.shift > 0 {
+                t.shift -= 1;
+            } else {
+                return;
             }
-        }
-        inner.total_dropped += dropped_now;
-        drop(inner);
-        if dropped_now > 0 {
-            apollo_telemetry::counter("introspect.hub.dropped").add(dropped_now);
+            t.drops_since_adjust = 0;
+            t.clean_streak = 0;
+            adjusted.push((sub.id, t.stride(), sub.dropped));
+        };
+        let dropped = self.publish_with(item, admit, settle);
+        if dropped > 0 {
+            apollo_telemetry::counter("introspect.hub.dropped").add(dropped);
         }
         for (id, stride, dropped) in adjusted {
             apollo_telemetry::counter("introspect.hub.downsample").inc();
@@ -207,184 +394,41 @@ impl MonitorHub {
                 "hub.downsample",
                 &[
                     ("subscriber", FieldValue::from(id)),
-                    ("stride", FieldValue::from(stride as u64)),
+                    ("stride", FieldValue::from(u64::from(stride))),
                     ("dropped", FieldValue::from(dropped)),
                 ],
             );
         }
-        self.cv.notify_all();
-    }
-
-    /// Registers a subscriber; returns its handle and the live count
-    /// after the registration.
-    pub fn subscribe(self: &Arc<Self>) -> (Subscriber, usize) {
-        let mut inner = plock(&self.inner);
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.subs.push(SubState {
-            id,
-            queue: VecDeque::new(),
-            dropped: 0,
-            stride: 1,
-            tick: 0,
-            downsampled: 0,
-            drops_since_adjust: 0,
-            clean_streak: 0,
-        });
-        let active = inner.subs.len();
-        inner.peak_subs = inner.peak_subs.max(active);
-        (
-            Subscriber {
-                hub: Arc::clone(self),
-                id,
-            },
-            active,
-        )
-    }
-
-    /// Closes the hub: wakes every blocked subscriber, which then
-    /// drains its queue and sees end-of-stream.
-    pub fn close(&self) {
-        plock(&self.inner).closed = true;
-        self.cv.notify_all();
-    }
-
-    /// True once [`MonitorHub::close`] ran.
-    pub fn closed(&self) -> bool {
-        plock(&self.inner).closed
-    }
-
-    /// Live subscriber count.
-    pub fn active(&self) -> usize {
-        plock(&self.inner).subs.len()
-    }
-
-    /// Highest concurrent subscriber count seen.
-    pub fn peak_subscribers(&self) -> usize {
-        plock(&self.inner).peak_subs
-    }
-
-    /// Bodies dropped across all subscribers by backpressure.
-    pub fn total_dropped(&self) -> u64 {
-        plock(&self.inner).total_dropped
     }
 
     /// Per-subscriber queue state for the `/status` surface and the
     /// labeled `/metrics` gauges (one row per live subscriber, in
     /// registration order).
     pub fn subscriber_stats(&self) -> Vec<SubscriberStatus> {
-        let inner = plock(&self.inner);
-        inner
+        plock(&self.lanes)
             .subs
             .iter()
             .map(|s| SubscriberStatus {
                 id: s.id,
-                depth: s.queue.len() as u64,
+                depth: s.items.len() as u64,
                 dropped: s.dropped,
-                stride: u64::from(s.stride),
-                downsampled: s.downsampled,
+                stride: u64::from(s.lane.stride()),
+                downsampled: s.lane.downsampled,
             })
             .collect()
     }
 }
 
-/// What a subscriber poll returned.
-pub enum Poll {
-    /// One traced body, in publish order.
-    Body(Box<Traced>),
-    /// Nothing arrived within the timeout; the stream is still live.
-    Timeout,
-    /// The hub closed and the queue is drained: end of stream.
-    Closed,
-}
-
-/// One `/events` consumer's handle onto the hub.
-pub struct Subscriber {
-    hub: Arc<MonitorHub>,
-    id: u64,
-}
-
 impl Subscriber {
-    /// Hub-assigned subscriber id (stable for the subscription's
-    /// lifetime; used to label gauges and derive delivery-span ids).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Waits up to `timeout` for the next body.
-    pub fn poll(&self, timeout: Duration) -> Poll {
-        let mut inner = plock(&self.hub.inner);
-        loop {
-            let closed = inner.closed;
-            if let Some(sub) = inner.subs.iter_mut().find(|s| s.id == self.id) {
-                if let Some(body) = sub.queue.pop_front() {
-                    return Poll::Body(Box::new(body));
-                }
-                if closed {
-                    return Poll::Closed;
-                }
-            } else {
-                return Poll::Closed;
-            }
-            let (guard, wait) = self
-                .hub
-                .cv
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            inner = guard;
-            if wait.timed_out() {
-                // One last drain check before reporting the timeout.
-                if let Some(sub) = inner.subs.iter_mut().find(|s| s.id == self.id) {
-                    if let Some(body) = sub.queue.pop_front() {
-                        return Poll::Body(Box::new(body));
-                    }
-                    return if inner.closed {
-                        Poll::Closed
-                    } else {
-                        Poll::Timeout
-                    };
-                }
-                return Poll::Closed;
-            }
-        }
-    }
-
-    /// Bodies this subscriber lost to backpressure.
-    pub fn dropped(&self) -> u64 {
-        let inner = plock(&self.hub.inner);
-        inner
-            .subs
-            .iter()
-            .find(|s| s.id == self.id)
-            .map_or(0, |s| s.dropped)
-    }
-
     /// Current delivery stride (1 = full rate; 2ⁿ = 1 body in 2ⁿ).
     pub fn stride(&self) -> u32 {
-        let inner = plock(&self.hub.inner);
-        inner
-            .subs
-            .iter()
-            .find(|s| s.id == self.id)
-            .map_or(1, |s| s.stride)
+        self.fanout.with_sub(self.id, |s| s.lane.stride()).unwrap_or(1)
     }
 
     /// Bodies withheld from this subscriber by adaptive downsampling
     /// (regular thinning — distinct from backpressure drops).
     pub fn downsampled(&self) -> u64 {
-        let inner = plock(&self.hub.inner);
-        inner
-            .subs
-            .iter()
-            .find(|s| s.id == self.id)
-            .map_or(0, |s| s.downsampled)
-    }
-}
-
-impl Drop for Subscriber {
-    fn drop(&mut self) {
-        let mut inner = plock(&self.hub.inner);
-        inner.subs.retain(|s| s.id != self.id);
+        self.fanout.with_sub(self.id, |s| s.lane.downsampled).unwrap_or(0)
     }
 }
 
@@ -432,6 +476,8 @@ mod tests {
         // Queue holds the newest 3; 7 dropped.
         assert_eq!(sub.dropped(), 7);
         assert_eq!(hub.total_dropped(), 7);
+        let stats = hub.subscriber_stats();
+        assert_eq!((stats[0].depth, stats[0].dropped, stats[0].stride), (3, 7, 1));
         for expect in 7..10 {
             assert_eq!(
                 text_of(sub.poll(Duration::from_millis(10))),
@@ -439,6 +485,9 @@ mod tests {
             );
         }
         assert!(matches!(sub.poll(Duration::from_millis(1)), Poll::Timeout));
+        drop(sub);
+        assert!(hub.subscriber_stats().is_empty(), "a dropped subscriber deregisters");
+        assert_eq!(hub.active(), 0);
     }
 
     #[test]
@@ -459,7 +508,23 @@ mod tests {
             assert_eq!(active, 1);
         }
         assert_eq!(hub.active(), 0);
-        assert_eq!(hub.peak_subscribers(), 1);
+        assert!(hub.subscriber_stats().is_empty());
+    }
+
+    #[test]
+    fn subscriber_stats_reflect_queue_state() {
+        let hub = MonitorHub::new(3);
+        let (sub, _) = hub.subscribe();
+        for i in 0..5 {
+            hub.publish(&msg(i));
+        }
+        let stats = hub.subscriber_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].depth, 3, "queue holds the newest cap bodies");
+        assert_eq!(stats[0].dropped, 2);
+        assert_eq!(stats[0].stride, 1);
+        drop(sub);
+        assert!(hub.subscriber_stats().is_empty());
     }
 
     #[test]
@@ -562,22 +627,6 @@ mod tests {
             _ => panic!("expected second body"),
         };
         assert_eq!((b.trace_id, b.parent_id), (root.trace_id, root.span_id));
-    }
-
-    #[test]
-    fn subscriber_stats_reflect_queue_state() {
-        let hub = MonitorHub::new(3);
-        let (sub, _) = hub.subscribe();
-        for i in 0..5 {
-            hub.publish(&msg(i));
-        }
-        let stats = hub.subscriber_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].depth, 3, "queue holds the newest cap bodies");
-        assert_eq!(stats[0].dropped, 2);
-        assert_eq!(stats[0].stride, 1);
-        drop(sub);
-        assert!(hub.subscriber_stats().is_empty());
     }
 
     #[test]

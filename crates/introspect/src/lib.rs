@@ -5,6 +5,10 @@
 //! high-volume commercial microprocessors" — turned into a long-lived
 //! observable pipeline:
 //!
+//! * [`core`] — one monitored core: [`core::CoreMonitor::step_cycle`]
+//!   is the per-cycle OPM recurrence (simulate, tap proxies, attribute,
+//!   window the truth, update drift) both the monitor loop and the
+//!   `apollo-fleet` shards step;
 //! * [`monitor`] — drives a workload through the simulator, reads the
 //!   quantized OPM every `T`-cycle window, decomposes the estimate
 //!   per functional unit ([`apollo_opm::attribution`]), tracks model
@@ -52,6 +56,7 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod client;
+pub mod core;
 pub mod health;
 pub mod hub;
 pub mod monitor;
@@ -63,6 +68,7 @@ pub mod sync;
 pub use chaos::{ChaosPlan, ChaosRng, MalformedKind, ServiceFault};
 pub use checkpoint::{CheckpointError, CheckpointPolicy, MonitorSnapshot};
 pub use client::{http_get, http_get_lines_retry, HttpResponse, RetryPolicy};
+pub use core::{ClosedWindow, CoreMonitor, CoreSpec, CoreWindow};
 pub use health::{
     HealthRegistry, PipelineHealth, StatusSnapshot, SubscriberStatus, STATUS_VERSION,
 };
@@ -71,7 +77,7 @@ pub use monitor::{run_monitor, run_monitor_with, MonitorConfig, MonitorReport, R
 pub use ring::{History, HistoryAggregates, HistoryStats, WindowRecord};
 pub use server::{
     http_get_lines, is_timeout, read_line_bounded, read_request_head, respond,
-    respond_with_headers, serve, serve_with, LineRead, ServerHandle, ServerOptions,
+    respond_with_headers, serve_with, LineRead, ServerHandle, ServerOptions,
 };
 pub use supervisor::{
     fleet_specs, panic_text, run_supervised, BackoffPolicy, Decision, InjectedPanic,

@@ -28,20 +28,16 @@ use crate::checkpoint::{
     check_compatible, load_snapshot, write_snapshot, CheckpointError, CheckpointPolicy,
     MonitorSnapshot, CHECKPOINT_VERSION,
 };
+use crate::core::{mark, CoreMonitor, CoreSpec};
 use crate::health::HealthRegistry;
 use crate::hub::MonitorHub;
 use crate::ring::{History, HistoryStats, WindowRecord};
 use apollo_core::{ApolloError, ApolloModel, DesignContext};
 use apollo_cpu::benchmarks::Benchmark;
-use apollo_opm::{
-    ArmConfig, AttributionAccumulator, AttributionMap, DriftConfig, DriftDetector, FailSafeArm,
-    ProxyTaps, QuantizedOpm,
-};
-use apollo_sim::WindowTap;
+use apollo_opm::{ArmConfig, DriftConfig, FailSafeArm};
 use apollo_telemetry::{Event, FieldValue, RecordBody};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Monitor pipeline configuration.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -211,275 +207,127 @@ pub fn run_monitor_with(
         )))
     };
     let _pipeline_span = apollo_telemetry::span("introspect.pipeline");
-    let opm = QuantizedOpm::from_model(model, cfg.bits, cfg.window_t)?;
-    let map = AttributionMap::from_model(model);
-    let taps = ProxyTaps::new(ctx.netlist(), &opm.bits);
-    let mut acc = AttributionAccumulator::new(&opm, &map);
-    let mut wtap = WindowTap::new(cfg.window_t);
-    let mut quant_drift = DriftDetector::new("quant", cfg.drift.clone());
-    let mut truth_drift = DriftDetector::new("truth", cfg.drift.clone());
+    let pipeline_id = opts.pipeline_id().to_owned();
+    let spec = CoreSpec {
+        id: pipeline_id.clone(),
+        bench: bench.clone(),
+        window_t: cfg.window_t,
+        bits: cfg.bits,
+        drift: cfg.drift.clone(),
+    };
+    let mut core = CoreMonitor::new(ctx, model, &spec)?;
     let mut arm = cfg.arm.map(FailSafeArm::new);
     let mut history = History::new(cfg.history);
-    let unit_fields: Vec<String> = map
-        .classes
+    let (unit_fields, unit_gauges): (Vec<String>, Vec<String>) = core
+        .unit_labels()
         .iter()
-        .map(|c| format!("unit.{}", c.label))
-        .collect();
-    let unit_gauges: Vec<String> = map
-        .classes
-        .iter()
-        .map(|c| format!("introspect.unit.{}", c.label))
-        .collect();
-    let mut unit_energy = vec![0.0f64; map.n_classes()];
-    let q = opm.bits.len();
-    let t = cfg.window_t;
+        .map(|l| (format!("unit.{l}"), format!("introspect.unit.{l}")))
+        .unzip();
 
     apollo_telemetry::emit_event(
         "introspect.start",
         &[
             ("design", FieldValue::from(model.design_name.as_str())),
             ("bench", FieldValue::from(bench.name.as_str())),
-            ("q", FieldValue::from(q)),
-            ("window_t", FieldValue::from(t)),
+            ("q", FieldValue::from(model.q())),
+            ("window_t", FieldValue::from(cfg.window_t)),
         ],
     );
 
-    let pipeline_id = opts.pipeline_id().to_owned();
     let ckpt_file = opts
         .checkpoint
         .as_ref()
         .map(|p| (p.file(&pipeline_id), p.every_windows));
-
-    // Durable state, possibly restored from a checkpoint below.
-    let mut cycle = 0u64;
-    let mut runs = 1u64;
-    let mut cycle_in_run = 0u64;
-    let mut throttle = 0u8;
-    let mut energy = 0.0f64;
+    let snap = match &ckpt_file {
+        Some((file, _)) if opts.resume => {
+            load_resumable(file, &spec, model, core.unit_labels().len())
+        }
+        _ => None,
+    };
+    let mut throttle = snap.as_ref().map_or(0, |s| s.throttle);
     let mut checkpoints = 0u64;
-    let mut resumed_from: Option<u64> = None;
-    let mut last_ckpt_window = 0u64;
-
-    if opts.resume {
-        if let Some((file, _)) = &ckpt_file {
-            match load_snapshot(file).and_then(|snap| {
-                check_compatible(
-                    &snap,
-                    &pipeline_id,
-                    &model.design_name,
-                    &bench.name,
-                    cfg.window_t,
-                    cfg.bits,
-                )?;
-                if snap.unit_energy.len() != map.n_classes() {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "{} attribution classes != {}",
-                        snap.unit_energy.len(),
-                        map.n_classes()
-                    )));
-                }
-                Ok(snap)
-            }) {
-                Ok(snap) => {
-                    acc.resume_at(snap.windows);
-                    quant_drift = snap.quant_drift;
-                    truth_drift = snap.truth_drift;
-                    if cfg.arm.is_some() {
-                        if let Some(a) = snap.arm {
-                            arm = Some(a);
-                        }
-                    }
-                    history = History::resume(cfg.history, &snap.history);
-                    energy = snap.energy;
-                    unit_energy = snap.unit_energy;
-                    cycle = snap.cycle;
-                    runs = snap.runs;
-                    cycle_in_run = snap.cycle_in_run;
-                    throttle = snap.throttle;
-                    resumed_from = Some(snap.windows);
-                    last_ckpt_window = snap.windows;
-                    apollo_telemetry::counter("introspect.checkpoint.resumes").inc();
-                    apollo_telemetry::emit_event(
-                        "introspect.checkpoint.resume",
-                        &[
-                            ("pipeline", FieldValue::from(pipeline_id.as_str())),
-                            ("window", FieldValue::from(snap.windows)),
-                            ("cycle", FieldValue::from(snap.cycle)),
-                        ],
-                    );
-                }
-                Err(CheckpointError::Missing) => {}
-                Err(e) => {
-                    // Corrupt or mismatched state is never trusted:
-                    // count it, log it, start fresh.
-                    apollo_telemetry::counter("introspect.checkpoint.rejected").inc();
-                    apollo_telemetry::diag(&format!(
-                        "pipeline `{pipeline_id}`: checkpoint rejected ({e}), starting fresh"
-                    ));
-                }
-            }
-        }
-    }
-
-    let mut sim = ctx.simulate(&bench.program, &bench.data);
+    let resumed_from = snap.as_ref().map(|s| s.windows);
+    let mut last_ckpt_window = resumed_from.unwrap_or(0);
     if cfg.arm.is_some() {
-        sim.sim_mut().set_input(ctx.handles.throttle_override_en, 1);
-        sim.sim_mut()
-            .set_input(ctx.handles.throttle_override, throttle as u64);
+        core.set_throttle(throttle);
     }
-    // Reconstruct the simulator state at the checkpoint: the sim is
-    // deterministic, so stepping `cycle_in_run` cycles of a fresh
-    // workload replays the exact machine state the uninterrupted run
-    // had. Replayed cycles feed no accumulators — their windows were
-    // already accounted before the snapshot.
-    for _ in 0..cycle_in_run {
-        debug_assert!(!sim.halted(), "cycle_in_run spans a single workload run");
-        if sim.halted() {
-            sim = ctx.simulate(&bench.program, &bench.data);
-            if cfg.arm.is_some() {
-                sim.sim_mut().set_input(ctx.handles.throttle_override_en, 1);
-                sim.sim_mut()
-                    .set_input(ctx.handles.throttle_override, throttle as u64);
-            }
+    if let Some(snap) = snap {
+        if cfg.arm.is_some() && snap.arm.is_some() {
+            arm = snap.arm.clone();
         }
-        sim.step();
+        history = History::resume(cfg.history, &snap.history);
+        core.resume(&snap);
     }
 
-    let mut toggled = vec![false; q];
-    let mut float_acc = 0.0f64;
-
-    // Per-window latency attribution: wall-clock reads only while
-    // timing is enabled (`None` marks keep the disabled path free of
-    // `Instant` syscalls), accumulated per phase and observed into
-    // `introspect.window.*_ns` histograms at window close. `_ns`
-    // metrics are excluded from determinism comparisons by contract.
-    fn mark() -> Option<Instant> {
-        apollo_telemetry::timing_enabled().then(Instant::now)
-    }
     let mut win_span: Option<apollo_telemetry::SpanGuard> = None;
-    let mut sim_ns = 0u64;
-    let mut opm_ns = 0u64;
-
     loop {
-        if stop.load(Ordering::Relaxed) {
+        if stop.load(Ordering::Relaxed) || (cfg.cycles > 0 && core.cycles() >= cfg.cycles) {
             break;
         }
-        if cfg.cycles > 0 && cycle >= cfg.cycles {
-            break;
-        }
-        if sim.halted() {
-            runs += 1;
+        if core.halted() {
+            core.restart();
             apollo_telemetry::emit_event(
                 "introspect.restart",
                 &[
-                    ("cycle", FieldValue::from(cycle)),
-                    ("runs", FieldValue::from(runs)),
+                    ("cycle", FieldValue::from(core.cycles())),
+                    ("runs", FieldValue::from(core.runs)),
                 ],
             );
             apollo_telemetry::counter("introspect.restarts").inc();
-            sim = ctx.simulate(&bench.program, &bench.data);
-            cycle_in_run = 0;
-            if cfg.arm.is_some() {
-                sim.sim_mut().set_input(ctx.handles.throttle_override_en, 1);
-                sim.sim_mut()
-                    .set_input(ctx.handles.throttle_override, throttle as u64);
-            }
         }
         // One span per OPM window, opened lazily at the window's first
         // cycle and closed after the window's effects are visible.
         if win_span.is_none() {
             win_span = Some(apollo_telemetry::span("introspect.window"));
         }
-        let t0 = mark();
-        sim.step();
-        cycle += 1;
-        cycle_in_run += 1;
-
-        let power = sim.sim().power();
-        {
-            let s = sim.sim();
-            for (k, slot) in toggled.iter_mut().enumerate() {
-                *slot = taps.toggled(s, k);
-            }
-        }
-        let t1 = mark();
-        if let (Some(a), Some(b)) = (t0, t1) {
-            sim_ns += b.duration_since(a).as_nanos() as u64;
-        }
-        // Float proxy model, in the exact FP order of
-        // `ApolloModel::predict_full`: intercept first, then proxies
-        // in model order.
-        let mut pred = model.intercept;
-        for (k, p) in model.proxies.iter().enumerate() {
-            if toggled[k] {
-                pred += p.weight;
-            }
-        }
-        float_acc += pred;
-
-        let window_attr = acc.cycle(|k| toggled[k]);
-        let window_true = wtap.push(&power);
-        let t2 = mark();
-        if let (Some(a), Some(b)) = (t1, t2) {
-            opm_ns += b.duration_since(a).as_nanos() as u64;
-        }
-
-        let Some(attr) = window_attr else {
+        let Some(w) = core.step_cycle() else {
             continue;
         };
-        let truth = window_true.expect("attribution and power windows share T");
-        let est = acc.est_power(&attr);
-        let float_power = float_acc / t as f64;
-        float_acc = 0.0;
-        energy += est * t as f64;
-        for (i, e) in unit_energy.iter_mut().enumerate() {
-            *e += acc.unit_power(&attr, i) * t as f64;
-        }
-
-        // Model-health monitors.
-        let qs = quant_drift.observe(est - float_power);
-        let ts = truth_drift.observe(est - truth.mean.total);
+        // Per-window latency attribution: `_ns` metrics are excluded
+        // from determinism comparisons by contract.
+        let t2 = mark();
+        let row = &w.row;
+        let cycle = core.cycles();
         if let Some(arm) = arm.as_mut() {
-            let monitor = if ts.alarm { "truth" } else { "quant" };
-            let floor = arm.update(qs.alarm || ts.alarm, attr.window, monitor);
+            let monitor = if w.truth.alarm { "truth" } else { "quant" };
+            let floor = arm.update(w.quant.alarm || w.truth.alarm, row.window, monitor);
             if floor != throttle {
                 throttle = floor;
-                sim.sim_mut()
-                    .set_input(ctx.handles.throttle_override, throttle as u64);
+                core.set_throttle(throttle);
             }
         }
 
         // Registry metrics.
         apollo_telemetry::counter("introspect.windows").inc();
-        apollo_telemetry::gauge("introspect.est_power").set(est);
-        apollo_telemetry::gauge("introspect.float_power").set(float_power);
-        apollo_telemetry::gauge("introspect.true_power").set(truth.mean.total);
-        apollo_telemetry::gauge("introspect.energy").set(energy);
+        apollo_telemetry::gauge("introspect.est_power").set(row.est_power);
+        apollo_telemetry::gauge("introspect.float_power").set(w.float_power);
+        apollo_telemetry::gauge("introspect.true_power").set(row.true_power);
+        apollo_telemetry::gauge("introspect.energy").set(row.energy);
         apollo_telemetry::gauge("introspect.throttle").set(throttle as f64);
-        apollo_telemetry::gauge("introspect.drift.quant.ewma").set(qs.ewma);
-        apollo_telemetry::gauge("introspect.drift.truth.ewma").set(ts.ewma);
+        apollo_telemetry::gauge("introspect.drift.quant.ewma").set(w.quant.ewma);
+        apollo_telemetry::gauge("introspect.drift.truth.ewma").set(w.truth.ewma);
         apollo_telemetry::histogram("introspect.window_power_milli")
-            .observe((est.max(0.0) * 1000.0) as u64);
-        for (i, g) in unit_gauges.iter().enumerate() {
-            apollo_telemetry::gauge(g).set(acc.unit_power(&attr, i));
+            .observe((row.est_power.max(0.0) * 1000.0) as u64);
+        for (g, p) in unit_gauges.iter().zip(&w.unit_power) {
+            apollo_telemetry::gauge(g).set(*p);
         }
 
         // The typed window event: one body, shared by the global sink
         // and the serving hub. Supervised pipelines tag every body so
         // a fleet multiplexed onto one hub stays attributable.
         let mut fields: Vec<(String, FieldValue)> = vec![
-            ("window".to_owned(), FieldValue::from(attr.window)),
+            ("window".to_owned(), FieldValue::from(row.window)),
             ("cycle".to_owned(), FieldValue::from(cycle)),
-            ("raw".to_owned(), FieldValue::from(attr.total)),
-            ("out".to_owned(), FieldValue::from(attr.output)),
-            ("est_power".to_owned(), FieldValue::from(est)),
-            ("float_power".to_owned(), FieldValue::from(float_power)),
-            ("true_power".to_owned(), FieldValue::from(truth.mean.total)),
-            ("energy".to_owned(), FieldValue::from(energy)),
+            ("raw".to_owned(), FieldValue::from(row.raw)),
+            ("out".to_owned(), FieldValue::from(row.out)),
+            ("est_power".to_owned(), FieldValue::from(row.est_power)),
+            ("float_power".to_owned(), FieldValue::from(w.float_power)),
+            ("true_power".to_owned(), FieldValue::from(row.true_power)),
+            ("energy".to_owned(), FieldValue::from(row.energy)),
             ("throttle".to_owned(), FieldValue::from(throttle)),
         ];
         for (i, name) in unit_fields.iter().enumerate() {
-            fields.push((name.clone(), FieldValue::from(attr.raw[i])));
+            fields.push((name.clone(), FieldValue::from(row.unit_raw[i])));
         }
         if let Some(tag) = &opts.pipeline {
             fields.push(("pipeline".to_owned(), FieldValue::from(tag.as_str())));
@@ -500,6 +348,8 @@ pub fn run_monitor_with(
         }
         let t4 = mark();
         if let (Some(a), Some(b), Some(c)) = (t2, t3, t4) {
+            let sim_ns = std::mem::take(&mut core.sim_ns);
+            let opm_ns = std::mem::take(&mut core.opm_ns);
             apollo_telemetry::histogram("introspect.window.sim_ns").observe(sim_ns);
             apollo_telemetry::histogram("introspect.window.opm_ns").observe(opm_ns);
             apollo_telemetry::histogram("introspect.window.attrib_ns")
@@ -507,20 +357,19 @@ pub fn run_monitor_with(
             apollo_telemetry::histogram("introspect.window.publish_ns")
                 .observe(c.duration_since(b).as_nanos() as u64);
         }
-        sim_ns = 0;
-        opm_ns = 0;
 
+        let window = row.window;
         history.push(WindowRecord {
-            window: attr.window,
+            window,
             cycle,
-            raw: attr.total,
-            out: attr.output,
-            est_power: est,
-            float_power,
-            true_power: truth.mean.total,
-            energy,
+            raw: row.raw,
+            out: row.out,
+            est_power: row.est_power,
+            float_power: w.float_power,
+            true_power: row.true_power,
+            energy: row.energy,
             throttle,
-            unit_raw: attr.raw,
+            unit_raw: w.row.unit_raw,
         });
 
         // Checkpoint at the configured window cadence. The window just
@@ -528,7 +377,7 @@ pub fn run_monitor_with(
         // accumulator, truth tap) is empty and the snapshot is a pure
         // window-boundary state.
         if let Some((file, every)) = &ckpt_file {
-            if (attr.window + 1) % every == 0 {
+            if (window + 1) % every == 0 {
                 let snap = MonitorSnapshot {
                     v: CHECKPOINT_VERSION,
                     pipeline: pipeline_id.clone(),
@@ -536,28 +385,28 @@ pub fn run_monitor_with(
                     bench: bench.name.clone(),
                     window_t: cfg.window_t,
                     bits: cfg.bits,
-                    windows: attr.window + 1,
+                    windows: window + 1,
                     cycle,
-                    runs,
-                    cycle_in_run,
+                    runs: core.runs,
+                    cycle_in_run: core.cycle_in_run,
                     throttle,
-                    energy,
-                    unit_energy: unit_energy.clone(),
+                    energy: core.energy,
+                    unit_energy: core.unit_energy.clone(),
                     history: history.aggregates(),
-                    quant_drift: quant_drift.clone(),
-                    truth_drift: truth_drift.clone(),
+                    quant_drift: core.quant_drift.clone(),
+                    truth_drift: core.truth_drift.clone(),
                     arm: arm.clone(),
                 };
                 match write_snapshot(file, &snap) {
                     Ok(bytes) => {
                         checkpoints += 1;
-                        last_ckpt_window = attr.window + 1;
+                        last_ckpt_window = window + 1;
                         apollo_telemetry::counter("introspect.checkpoint.writes").inc();
                         apollo_telemetry::emit_event(
                             "introspect.checkpoint.write",
                             &[
                                 ("pipeline", FieldValue::from(pipeline_id.as_str())),
-                                ("window", FieldValue::from(attr.window + 1)),
+                                ("window", FieldValue::from(window + 1)),
                                 ("bytes", FieldValue::from(bytes)),
                             ],
                         );
@@ -577,9 +426,9 @@ pub fn run_monitor_with(
         if let Some(health) = &opts.health {
             health.report_window(
                 &pipeline_id,
-                attr.window + 1,
-                (attr.window + 1).saturating_sub(last_ckpt_window),
-                quant_drift.alarms() + truth_drift.alarms(),
+                window + 1,
+                (window + 1).saturating_sub(last_ckpt_window),
+                core.alarms(),
                 arm.as_ref().is_some_and(FailSafeArm::armed),
                 u64::from(throttle),
             );
@@ -593,8 +442,8 @@ pub fn run_monitor_with(
         // after this window's effects became visible (publish +
         // checkpoint), exercising the supervisor's recovery path at a
         // deterministic point.
-        if opts.panic_at_windows.contains(&attr.window) {
-            panic!("chaos: injected panic at window {}", attr.window);
+        if opts.panic_at_windows.contains(&window) {
+            panic!("chaos: injected panic at window {window}");
         }
     }
     drop(win_span);
@@ -604,23 +453,23 @@ pub fn run_monitor_with(
         "introspect.shutdown",
         &[
             ("windows", FieldValue::from(windows)),
-            ("cycles", FieldValue::from(cycle)),
+            ("cycles", FieldValue::from(core.cycles())),
         ],
     );
 
     Ok(MonitorReport {
         windows,
-        cycles: cycle,
-        runs,
+        cycles: core.cycles(),
+        runs: core.runs,
         mean_est: history.mean_est(),
         peak_est: history.peak_est(),
         mean_true: history.mean_true(),
-        energy,
+        energy: core.energy,
         tail: history.tail_stats(64),
-        unit_labels: map.classes.iter().map(|c| c.label.clone()).collect(),
-        unit_energy,
-        quant_alarms: quant_drift.alarms(),
-        truth_alarms: truth_drift.alarms(),
+        unit_labels: core.unit_labels().to_vec(),
+        unit_energy: core.unit_energy,
+        quant_alarms: core.quant_drift.alarms(),
+        truth_alarms: core.truth_drift.alarms(),
         armed_windows: arm.as_ref().map_or(0, |a| a.armed_windows),
         final_throttle: throttle,
         history_dropped: history.dropped(),
@@ -629,30 +478,48 @@ pub fn run_monitor_with(
     })
 }
 
+/// Loads the pipeline's checkpoint for resume. A missing file is a
+/// silent fresh start; corrupt or mismatched state is never trusted:
+/// it is counted, logged, and also falls back to a fresh start.
+fn load_resumable(
+    file: &std::path::Path,
+    spec: &CoreSpec,
+    model: &ApolloModel,
+    n_classes: usize,
+) -> Option<MonitorSnapshot> {
+    let loaded = load_snapshot(file).and_then(|snap| {
+        check_compatible(&snap, spec, &model.design_name, n_classes).map(|()| snap)
+    });
+    match loaded {
+        Ok(snap) => {
+            apollo_telemetry::counter("introspect.checkpoint.resumes").inc();
+            apollo_telemetry::emit_event(
+                "introspect.checkpoint.resume",
+                &[
+                    ("pipeline", FieldValue::from(spec.id.as_str())),
+                    ("window", FieldValue::from(snap.windows)),
+                    ("cycle", FieldValue::from(snap.cycle)),
+                ],
+            );
+            Some(snap)
+        }
+        Err(CheckpointError::Missing) => None,
+        Err(e) => {
+            apollo_telemetry::counter("introspect.checkpoint.rejected").inc();
+            apollo_telemetry::diag(&format!(
+                "pipeline `{}`: checkpoint rejected ({e}), starting fresh",
+                spec.id
+            ));
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apollo_core::{train_per_cycle, FeatureSpace, TrainOptions};
+    use crate::core::tests::trained_model;
     use apollo_cpu::{benchmarks, CpuConfig};
-
-    fn trained_model(ctx: &DesignContext) -> ApolloModel {
-        let suite = vec![
-            (benchmarks::dhrystone(), 200),
-            (benchmarks::maxpwr_cpu(), 200),
-        ];
-        let trace = ctx.capture_suite(&suite, 50);
-        let fs = FeatureSpace::build(&trace.toggles);
-        train_per_cycle(
-            &trace,
-            ctx.netlist(),
-            &fs,
-            &TrainOptions {
-                q_target: 16,
-                ..TrainOptions::default()
-            },
-        )
-        .model
-    }
 
     #[test]
     fn monitor_runs_and_attribution_sums_per_window() {

@@ -1,18 +1,17 @@
-//! Zero-dependency TCP serving layer.
+//! Zero-dependency TCP serving layer: the one HTTP edge both the
+//! monitor endpoint and the `apollo-fleet` endpoint run.
 //!
 //! A small HTTP/1.1 server on `std::net` (no external crates, no
-//! unsafe):
-//!
-//! * `GET /metrics` — Prometheus text exposition of the process-global
-//!   telemetry registry ([`apollo_telemetry::prometheus_text`]).
-//! * `GET /events`  — streaming schema-versioned JSONL: one
-//!   [`apollo_telemetry::Record`] per line, fed from the
-//!   [`MonitorHub`](crate::hub::MonitorHub) with per-subscriber dense
-//!   `seq` (re-stamped at send time, after any backpressure drops, so
-//!   every delivered stream passes `trace-lint`).
-//! * `GET /shutdown` — requests a clean monitor shutdown by setting
-//!   the shared stop flag.
-//! * `GET /` — a short plain-text index.
+//! unsafe). The edge owns the accept loop, the connection lifecycle,
+//! request parsing and the shared routes — `/` (index), `/healthz` and
+//! `/status` (from the [`HealthRegistry`]), `/shutdown` (raises the
+//! stop flag) — and hands every other path to the server's
+//! [`Routes`]. The monitor endpoint ([`serve_with`]) adds `/metrics`
+//! (Prometheus text of the global telemetry registry) and `/events`
+//! (schema-versioned JSONL from the
+//! [`MonitorHub`](crate::hub::MonitorHub), with per-subscriber dense
+//! `seq` re-stamped at send time, after any backpressure drops, so
+//! every delivered stream passes `trace-lint`).
 //!
 //! The accept loop is non-blocking and polls the stop flag, so the
 //! server winds down without signal handlers; connection handlers are
@@ -30,22 +29,29 @@
 //!   unboundedly.
 //! * **Timeouts both ways** — every served connection carries a read
 //!   *and* a write timeout. A peer that stalls mid-request gets `408`;
-//!   a `/events` client that stops draining its socket is evicted once
-//!   a write times out (`introspect.http.slow_evicted`).
+//!   a streaming client that stops draining its socket is evicted once
+//!   a write times out (`<name>.http.slow_evicted`).
 //! * **Connection cap** — at most [`ServerOptions::max_conns`] live
-//!   handlers; excess connections are shed with `503`
-//!   (`introspect.http.shed`). Finished handler threads are reaped on
+//!   handlers; excess connections are shed with `503` + `Retry-After`
+//!   (`<name>.http.shed`). Finished handler threads are reaped on
 //!   every accept.
+//! * **Lingering close** — every error (`400`/`405`/`408`) and shed
+//!   (`503`) answer ends with a half-close and a drain of the peer's
+//!   unread input under a fixed time and byte budget, so closing never
+//!   answers in-flight request bytes with a TCP reset that would
+//!   destroy the response. A shed peer lingers on its own thread, never
+//!   on the accept loop.
 //! * **Panic isolation** — shared serving state is locked through
 //!   [`plock`](crate::sync::plock), so a panicking handler thread can
 //!   never poison the accept loop or `stop()` into a cascade.
 
-use crate::health::HealthRegistry;
+use crate::client::http_get;
+use crate::health::{HealthRegistry, SubscriberStatus};
 use crate::hub::{MonitorHub, Poll};
 use crate::sync::plock;
 use apollo_telemetry::{FieldValue, Record, SCHEMA_VERSION};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -56,20 +62,17 @@ use std::time::{Duration, Instant};
 pub struct ServerOptions {
     /// Per-connection read timeout (stalled request ⇒ `408`).
     pub read_timeout: Duration,
-    /// Per-connection write timeout (stalled `/events` client ⇒
+    /// Per-connection write timeout (stalled streaming client ⇒
     /// eviction; stalled response write ⇒ drop).
     pub write_timeout: Duration,
     /// Maximum concurrent connection handlers; excess peers get `503`.
     pub max_conns: usize,
     /// Byte cap on any single request or header line (`400` beyond).
     pub max_line_bytes: usize,
-    /// Test-only chaos hook: a GET on this exact path panics inside
-    /// the handler thread, exercising panic isolation end to end.
-    pub chaos_panic_path: Option<String>,
     /// Fleet health registry behind `/healthz` and `/status`. `None`
     /// gets a private empty registry at serve time: `/healthz` then
     /// answers pure liveness (`200 ok`) and `/status` reports an
-    /// empty fleet plus live hub subscriber state.
+    /// empty fleet plus live subscriber state.
     pub health: Option<Arc<HealthRegistry>>,
 }
 
@@ -80,19 +83,42 @@ impl Default for ServerOptions {
             write_timeout: Duration::from_secs(5),
             max_conns: 64,
             max_line_bytes: 8 * 1024,
-            chaos_panic_path: None,
             health: None,
         }
     }
 }
 
+/// Advisory `Retry-After` (whole seconds) on every load-shedding `503`.
+pub const RETRY_AFTER_S: u64 = 1;
+/// Lingering-close budget: at most this long and this many bytes.
+const LINGER: Duration = Duration::from_millis(500);
+const LINGER_BYTES: usize = 1 << 20;
+
+/// The routes one server adds to the shared edge (`/`, `/healthz`,
+/// `/status`, `/shutdown`).
+pub trait Routes: Send + Sync + 'static {
+    /// Telemetry namespace of the edge's counters and events
+    /// (`introspect`, `fleet`).
+    fn name(&self) -> &'static str;
+    /// Index line head: the server's name and its own routes.
+    fn index(&self) -> &'static str;
+    /// Serves `path` when it is one of this server's routes; `None`
+    /// lets the edge answer `404`.
+    fn route(&self, path: &str, out: &mut TcpStream, stop: &AtomicBool)
+        -> Option<std::io::Result<()>>;
+    /// Live subscriber queues reported on `/status`.
+    fn subscribers(&self) -> Vec<SubscriberStatus> {
+        Vec::new()
+    }
+    /// Ends every stream (run by [`ServerHandle::stop`]).
+    fn close(&self);
+}
+
 /// Running server: bound address plus lifecycle control.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    hub: Arc<MonitorHub>,
+    edge: Arc<Edge>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -101,36 +127,24 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops the server: sets the shared stop flag, closes the hub
-    /// (ending every `/events` stream), and joins all server threads.
+    /// Stops the server: sets the shared stop flag, closes the routes'
+    /// streams, and joins all server threads.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.hub.close();
+        self.edge.stop.store(true, Ordering::Relaxed);
+        self.edge.routes.close();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let conns = std::mem::take(&mut *plock(&self.conns));
-        for h in conns {
+        let conns = std::mem::take(&mut *plock(&self.edge.conns));
+        let sheds = std::mem::take(&mut *plock(&self.edge.sheds));
+        for h in conns.into_iter().chain(sheds) {
             let _ = h.join();
         }
     }
 }
 
 /// Binds `listen` (e.g. `127.0.0.1:9100`; port 0 picks a free port)
-/// and serves with default [`ServerOptions`] until `stop` becomes
-/// true.
-///
-/// # Errors
-/// Returns the bind error if the address is unavailable.
-pub fn serve(
-    listen: &str,
-    hub: Arc<MonitorHub>,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<ServerHandle> {
-    serve_with(listen, hub, stop, ServerOptions::default())
-}
-
-/// [`serve`] with explicit robustness options.
+/// and serves the monitor endpoint for `hub` until `stop` becomes true.
 ///
 /// # Errors
 /// Returns the bind error if the address is unavailable.
@@ -140,80 +154,206 @@ pub fn serve_with(
     stop: Arc<AtomicBool>,
     opts: ServerOptions,
 ) -> std::io::Result<ServerHandle> {
-    let mut opts = opts;
-    if opts.health.is_none() {
-        opts.health = Some(Arc::new(HealthRegistry::new()));
-    }
+    serve_routes(listen, Arc::new(MonitorRoutes { hub }), stop, opts)
+}
+
+/// Binds `listen` and serves `routes` behind the shared edge until
+/// `stop` becomes true.
+///
+/// # Errors
+/// Returns the bind error if the address is unavailable.
+pub fn serve_routes(
+    listen: &str,
+    routes: Arc<dyn Routes>,
+    stop: Arc<AtomicBool>,
+    opts: ServerOptions,
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(listen)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let edge = Arc::new(Edge {
+        health: opts.health.clone().unwrap_or_default(),
+        routes,
+        stop,
+        opts,
+        conns: Mutex::new(Vec::new()),
+        sheds: Mutex::new(Vec::new()),
+    });
     let accept = {
-        let stop = Arc::clone(&stop);
-        let hub = Arc::clone(&hub);
-        let conns = Arc::clone(&conns);
-        std::thread::spawn(move || {
-            accept_loop(&listener, &hub, &stop, &conns, &opts);
-        })
+        let edge = Arc::clone(&edge);
+        std::thread::spawn(move || accept_loop(&listener, &edge))
     };
     Ok(ServerHandle {
         addr,
-        stop,
-        hub,
+        edge,
         accept: Some(accept),
-        conns,
     })
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    hub: &Arc<MonitorHub>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    opts: &ServerOptions,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let live = {
-                    let mut guard = plock(conns);
-                    // Reap finished handler threads so the registry
-                    // tracks *live* connections, not lifetime totals.
-                    let (done, alive): (Vec<_>, Vec<_>) =
-                        std::mem::take(&mut *guard).into_iter().partition(JoinHandle::is_finished);
-                    *guard = alive;
-                    drop(guard);
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    plock(conns).len()
-                };
-                if live >= opts.max_conns {
-                    // Shed load instead of queueing unboundedly.
-                    apollo_telemetry::counter("introspect.http.shed").inc();
-                    let _ = stream.set_write_timeout(Some(opts.write_timeout));
-                    let _ = respond(
-                        &mut stream,
-                        "503 Service Unavailable",
-                        "text/plain",
-                        "connection limit reached\n",
-                    );
-                    continue;
-                }
-                let hub = Arc::clone(hub);
-                let stop = Arc::clone(stop);
-                let opts = opts.clone();
-                let handle = std::thread::spawn(move || {
-                    // Per-connection errors (reset peers, parse noise)
-                    // must not take the server down.
-                    let _ = handle_connection(stream, &hub, &stop, &opts);
-                });
-                plock(conns).push(handle);
+/// Per-server state every connection handler shares.
+struct Edge {
+    health: Arc<HealthRegistry>,
+    routes: Arc<dyn Routes>,
+    stop: Arc<AtomicBool>,
+    opts: ServerOptions,
+    /// Connection handler threads.
+    conns: Mutex<Vec<JoinHandle<()>>>,
+    /// Threads giving shed peers a lingering close.
+    sheds: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// Joins the finished threads of `threads` and returns how many still
+/// run, so the registry tracks *live* work, not lifetime totals.
+fn reap(threads: &Mutex<Vec<JoinHandle<()>>>) -> usize {
+    let mut threads = plock(threads);
+    let (done, alive): (Vec<_>, Vec<_>) =
+        std::mem::take(&mut *threads).into_iter().partition(JoinHandle::is_finished);
+    *threads = alive;
+    for h in done {
+        let _ = h.join();
+    }
+    threads.len()
+}
+
+fn accept_loop(listener: &TcpListener, edge: &Arc<Edge>) {
+    while !edge.stop.load(Ordering::Relaxed) {
+        let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(Duration::from_millis(20));
+            continue;
+        };
+        if reap(&edge.conns) >= edge.opts.max_conns {
+            // Shed load instead of queueing unboundedly; the lingering
+            // close runs off the accept loop, and at most `max_conns`
+            // shed peers linger at once.
+            let _ = stream.set_write_timeout(Some(edge.opts.write_timeout));
+            if reap(&edge.sheds) < edge.opts.max_conns {
+                let name = edge.routes.name();
+                plock(&edge.sheds).push(std::thread::spawn(move || {
+                    let _ = shed(&stream, name, "conn_cap");
+                }));
+            } else {
+                let _ = shed_response(&stream, edge.routes.name(), "conn_cap");
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+            continue;
+        }
+        let owned = Arc::clone(edge);
+        let handle = std::thread::spawn(move || {
+            // Per-connection errors (reset peers, parse noise) must not
+            // take the server down.
+            let _ = handle_connection(&stream, &owned);
+        });
+        plock(&edge.conns).push(handle);
+    }
+}
+
+fn handle_connection(stream: &TcpStream, edge: &Edge) -> std::io::Result<()> {
+    let opts = &edge.opts;
+    stream.set_read_timeout(Some(opts.read_timeout))?;
+    stream.set_write_timeout(Some(opts.write_timeout))?;
+    let mut reader = BufReader::new(stream);
+    let mut out = stream.try_clone()?;
+    let Some(path) = read_request_head(&mut reader, &mut out, opts.max_line_bytes)? else {
+        // A rejected peer may still be sending the rest of its request.
+        linger(stream);
+        return Ok(());
+    };
+    let name = edge.routes.name();
+    match path.as_str() {
+        "/" => {
+            let index = format!("{}, /healthz, /status, /shutdown\n", edge.routes.index());
+            respond(&mut out, "200 OK", "text/plain; charset=utf-8", &index)
+        }
+        "/healthz" => {
+            let healthy = edge.health.healthy();
+            apollo_telemetry::counter(&format!("{name}.healthz.scrapes")).inc();
+            apollo_telemetry::emit_event(
+                &format!("{name}.healthz"),
+                &[("healthy", FieldValue::from(healthy))],
+            );
+            if healthy {
+                respond(&mut out, "200 OK", "text/plain", "ok\n")
+            } else {
+                respond(&mut out, "503 Service Unavailable", "text/plain", "degraded\n")
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+        "/status" => {
+            let snap = edge.health.snapshot(edge.routes.subscribers());
+            apollo_telemetry::counter(&format!("{name}.status.scrapes")).inc();
+            apollo_telemetry::emit_event(
+                &format!("{name}.status"),
+                &[
+                    ("healthy", FieldValue::from(snap.healthy)),
+                    ("pipelines", FieldValue::from(snap.pipelines.len())),
+                    ("subscribers", FieldValue::from(snap.subscribers.len())),
+                ],
+            );
+            let status = if snap.healthy {
+                "200 OK"
+            } else {
+                "503 Service Unavailable"
+            };
+            let body = format!("{}\n", snap.to_jsonl());
+            respond(&mut out, status, "application/json", &body)
+        }
+        "/shutdown" => {
+            edge.stop.store(true, Ordering::Relaxed);
+            respond(&mut out, "200 OK", "text/plain", "shutting down\n")
+        }
+        _ => edge
+            .routes
+            .route(&path, &mut out, &edge.stop)
+            .unwrap_or_else(|| respond(&mut out, "404 Not Found", "text/plain", "unknown path\n")),
+    }
+}
+
+/// Answers a load-shedding `503` + `Retry-After` on behalf of server
+/// `name`, counted as `<name>.http.shed` with a `<name>.shed` event,
+/// then closes the connection lingering.
+///
+/// # Errors
+/// Propagates socket write errors.
+pub fn shed(out: &TcpStream, name: &str, reason: &str) -> std::io::Result<()> {
+    let res = shed_response(out, name, reason);
+    linger(out);
+    res
+}
+
+fn shed_response(mut out: &TcpStream, name: &str, reason: &str) -> std::io::Result<()> {
+    apollo_telemetry::counter(&format!("{name}.http.shed")).inc();
+    apollo_telemetry::emit_event(
+        &format!("{name}.shed"),
+        &[
+            ("reason", FieldValue::from(reason)),
+            ("retry_after_ms", FieldValue::from(RETRY_AFTER_S * 1000)),
+        ],
+    );
+    respond_with_headers(
+        &mut out,
+        "503 Service Unavailable",
+        "text/plain",
+        &[("Retry-After", &RETRY_AFTER_S.to_string())],
+        "overloaded; retry later\n",
+    )
+}
+
+/// Lingering close: half-closes our side (the peer sees the response
+/// then end-of-stream) and drains the peer's unread input for at most
+/// [`LINGER`] / [`LINGER_BYTES`], so dropping the socket never meets
+/// unread bytes — which would make the kernel send a reset that can
+/// overtake and destroy the response.
+fn linger(mut stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut drained = 0usize;
+    let mut buf = [0u8; 4096];
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
         }
     }
 }
@@ -232,11 +372,8 @@ pub enum LineRead {
 /// `cap + 1` bytes regardless of what the peer sends.
 ///
 /// # Errors
-/// Propagates socket read errors (including timeouts).
-pub fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
-    cap: usize,
-) -> std::io::Result<LineRead> {
+/// Propagates read errors (including timeouts).
+pub fn read_line_bounded(reader: &mut impl BufRead, cap: usize) -> std::io::Result<LineRead> {
     let mut buf = Vec::new();
     let n = reader.take(cap as u64 + 1).read_until(b'\n', &mut buf)?;
     if n == 0 {
@@ -266,168 +403,178 @@ pub fn is_timeout(e: &std::io::Error) -> bool {
 /// `Some(path)` for a well-formed `GET`, `None` when the request was
 /// already answered or the peer went away cleanly.
 ///
-/// Shared by this server and the `apollo-fleet` serving layer so both
-/// present identical hardening behaviour at the protocol edge.
-///
 /// # Errors
-/// Propagates non-timeout socket errors.
+/// Propagates non-timeout read errors and write errors.
 pub fn read_request_head(
-    reader: &mut BufReader<TcpStream>,
-    out: &mut TcpStream,
+    reader: &mut impl BufRead,
+    out: &mut impl Write,
     max_line_bytes: usize,
 ) -> std::io::Result<Option<String>> {
-    let request_line = match read_line_bounded(reader, max_line_bytes) {
-        Ok(LineRead::Line(l)) => l,
-        // Zero-length read: peer connected and went away. Clean drop.
-        Ok(LineRead::Eof) => return Ok(None),
-        Ok(LineRead::Oversize) => {
-            apollo_telemetry::counter("introspect.http.bad_requests").inc();
-            respond(out, "400 Bad Request", "text/plain", "request line too long\n")?;
-            return Ok(None);
-        }
-        Err(e) if is_timeout(&e) => {
-            apollo_telemetry::counter("introspect.http.timeouts").inc();
-            respond(
-                out,
-                "408 Request Timeout",
-                "text/plain",
-                "request not received in time\n",
-            )?;
-            return Ok(None);
-        }
-        Err(e) => return Err(e),
-    };
-    // Drain headers up to the blank line; bodies are not supported.
+    // The request line, then headers up to the blank line; bodies are
+    // not supported.
+    let mut request_line: Option<String> = None;
     loop {
+        let (line_name, part_name) = match request_line {
+            None => ("request line", "request"),
+            Some(_) => ("header line", "headers"),
+        };
         match read_line_bounded(reader, max_line_bytes) {
+            Ok(LineRead::Line(l)) if request_line.is_none() => request_line = Some(l),
             Ok(LineRead::Line(h)) if h.is_empty() => break,
-            Ok(LineRead::Line(_)) => continue,
+            Ok(LineRead::Line(_)) => {}
+            // Zero-length read: peer connected and went away. Clean drop.
+            Ok(LineRead::Eof) if request_line.is_none() => return Ok(None),
             Ok(LineRead::Eof) => break,
             Ok(LineRead::Oversize) => {
-                apollo_telemetry::counter("introspect.http.bad_requests").inc();
-                respond(out, "400 Bad Request", "text/plain", "header line too long\n")?;
-                return Ok(None);
+                return reject(out, "400 Bad Request", &format!("{line_name} too long"))
             }
             Err(e) if is_timeout(&e) => {
-                apollo_telemetry::counter("introspect.http.timeouts").inc();
-                respond(
-                    out,
-                    "408 Request Timeout",
-                    "text/plain",
-                    "headers not received in time\n",
-                )?;
-                return Ok(None);
+                let why = format!("{part_name} not received in time");
+                return reject(out, "408 Request Timeout", &why);
             }
             Err(e) => return Err(e),
         }
     }
+    let request_line = request_line.unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let (method, path, version) = (parts.next(), parts.next(), parts.next());
-    let (Some(method), Some(path)) = (method, path) else {
-        apollo_telemetry::counter("introspect.http.bad_requests").inc();
-        respond(out, "400 Bad Request", "text/plain", "malformed request line\n")?;
-        return Ok(None);
-    };
-    if !method.bytes().all(|b| b.is_ascii_uppercase())
-        || !path.starts_with('/')
-        || !version.is_some_and(|v| v.starts_with("HTTP/"))
-    {
-        apollo_telemetry::counter("introspect.http.bad_requests").inc();
-        respond(out, "400 Bad Request", "text/plain", "malformed request line\n")?;
-        return Ok(None);
+    let well_formed = method.is_some_and(|m| m.bytes().all(|b| b.is_ascii_uppercase()))
+        && path.is_some_and(|p| p.starts_with('/'))
+        && version.is_some_and(|v| v.starts_with("HTTP/"));
+    if !well_formed {
+        return reject(out, "400 Bad Request", "malformed request line");
     }
-    if method != "GET" {
-        respond(out, "405 Method Not Allowed", "text/plain", "GET only\n")?;
-        return Ok(None);
+    if method != Some("GET") {
+        return reject(out, "405 Method Not Allowed", "GET only");
     }
-    Ok(Some(path.to_owned()))
+    Ok(path.map(str::to_owned))
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    hub: &Arc<MonitorHub>,
-    stop: &Arc<AtomicBool>,
-    opts: &ServerOptions,
+/// Answers a protocol error (counted by class) and reports the request
+/// as handled.
+fn reject(out: &mut impl Write, status: &str, why: &str) -> std::io::Result<Option<String>> {
+    match &status[..3] {
+        "400" => apollo_telemetry::counter("introspect.http.bad_requests").inc(),
+        "408" => apollo_telemetry::counter("introspect.http.timeouts").inc(),
+        _ => {}
+    }
+    respond(out, status, "text/plain", &format!("{why}\n"))?;
+    Ok(None)
+}
+
+/// Writes a complete `Connection: close` HTTP/1.1 response.
+///
+/// # Errors
+/// Propagates write errors.
+pub fn respond(
+    out: &mut impl Write,
+    status: &str,
+    content_type: &str,
+    body: &str,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(opts.read_timeout))?;
-    stream.set_write_timeout(Some(opts.write_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    let Some(path) = read_request_head(&mut reader, &mut out, opts.max_line_bytes)? else {
-        return Ok(());
-    };
-    let path = path.as_str();
-    if opts.chaos_panic_path.as_deref() == Some(path) {
-        panic!("chaos: injected handler panic on {path}");
-    }
-    match path {
-        "/" => respond(
-            &mut out,
-            "200 OK",
-            "text/plain; charset=utf-8",
-            "apollo monitor: /metrics (Prometheus), /events (JSONL stream), /healthz, /status, /shutdown\n",
-        ),
-        "/metrics" => {
-            let mut body = apollo_telemetry::prometheus_text(&apollo_telemetry::snapshot());
-            body.push_str(&subscriber_gauges(hub));
-            counter_scrapes();
-            respond(&mut out, "200 OK", "text/plain; version=0.0.4", &body)
-        }
-        "/events" => stream_events(&mut out, hub, stop),
-        "/healthz" => {
-            let healthy = opts.health.as_ref().is_none_or(|h| h.healthy());
-            apollo_telemetry::counter("introspect.healthz.scrapes").inc();
-            apollo_telemetry::emit_event(
-                "introspect.healthz",
-                &[("healthy", FieldValue::from(healthy))],
-            );
-            if healthy {
-                respond(&mut out, "200 OK", "text/plain", "ok\n")
-            } else {
-                respond(&mut out, "503 Service Unavailable", "text/plain", "degraded\n")
-            }
-        }
-        "/status" => {
-            // `serve_with` guarantees a registry; handle the bare
-            // default anyway (options built by hand in tests).
-            let snap = match &opts.health {
-                Some(h) => h.snapshot(hub.subscriber_stats()),
-                None => HealthRegistry::new().snapshot(hub.subscriber_stats()),
-            };
-            apollo_telemetry::counter("introspect.status.scrapes").inc();
-            apollo_telemetry::emit_event(
-                "introspect.status",
-                &[
-                    ("healthy", FieldValue::from(snap.healthy)),
-                    ("pipelines", FieldValue::from(snap.pipelines.len())),
-                    ("subscribers", FieldValue::from(snap.subscribers.len())),
-                ],
-            );
-            let status = if snap.healthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            let body = format!("{}\n", snap.to_jsonl());
-            respond(&mut out, status, "application/json", &body)
-        }
-        "/shutdown" => {
-            stop.store(true, Ordering::Relaxed);
-            respond(&mut out, "200 OK", "text/plain", "shutting down\n")
-        }
-        _ => respond(&mut out, "404 Not Found", "text/plain", "unknown path\n"),
-    }
+    respond_with_headers(out, status, content_type, &[], body)
 }
 
-fn counter_scrapes() {
-    apollo_telemetry::counter("introspect.scrapes").inc();
+/// [`respond`] with extra response headers (e.g. `Retry-After` on a
+/// load-shedding `503`). Each pair renders as `name: value`. The
+/// response goes out in one write.
+///
+/// # Errors
+/// Propagates write errors.
+pub fn respond_with_headers(
+    out: &mut impl Write,
+    status: &str,
+    content_type: &str,
+    extra: &[(&str, &str)],
+    body: &str,
+) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut head = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in extra {
+        let _ = write!(head, "{name}: {value}\r\n");
+    }
+    head.push_str("Connection: close\r\n\r\n");
+    head.push_str(body);
+    out.write_all(head.as_bytes())?;
+    out.flush()
+}
+
+/// Starts a streaming `application/x-ndjson` response (no length; the
+/// stream ends when the connection closes).
+///
+/// # Errors
+/// Propagates write errors.
+pub fn stream_head(out: &mut impl Write) -> std::io::Result<()> {
+    out.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
+    )?;
+    out.flush()
+}
+
+/// Writes one streamed line. A write that times out means the peer
+/// stopped draining: it is evicted (counted as
+/// `<name>.http.slow_evicted`) rather than left to pin the thread.
+///
+/// # Errors
+/// Propagates the failed write; the stream should end.
+pub fn stream_line(out: &mut impl Write, line: &str, name: &str) -> std::io::Result<()> {
+    let res = writeln!(out, "{line}").and_then(|()| out.flush());
+    if let Err(e) = &res {
+        if is_timeout(e) {
+            apollo_telemetry::counter(&format!("{name}.http.slow_evicted")).inc();
+        }
+    }
+    res
+}
+
+/// The monitor endpoint's routes: `/metrics` and `/events`.
+struct MonitorRoutes {
+    hub: Arc<MonitorHub>,
+}
+
+impl Routes for MonitorRoutes {
+    fn name(&self) -> &'static str {
+        "introspect"
+    }
+
+    fn index(&self) -> &'static str {
+        "apollo monitor: /metrics (Prometheus), /events (JSONL stream)"
+    }
+
+    fn route(
+        &self,
+        path: &str,
+        out: &mut TcpStream,
+        stop: &AtomicBool,
+    ) -> Option<std::io::Result<()>> {
+        Some(match path {
+            "/metrics" => {
+                let mut body = apollo_telemetry::prometheus_text(&apollo_telemetry::snapshot());
+                body.push_str(&subscriber_gauges(&self.hub));
+                apollo_telemetry::counter("introspect.scrapes").inc();
+                respond(out, "200 OK", "text/plain; version=0.0.4", &body)
+            }
+            "/events" => stream_events(out, &self.hub, stop),
+            _ => return None,
+        })
+    }
+
+    fn subscribers(&self) -> Vec<SubscriberStatus> {
+        self.hub.subscriber_stats()
+    }
+
+    fn close(&self) {
+        self.hub.close();
+    }
 }
 
 /// Hand-rendered labeled gauges for per-subscriber hub state (the
 /// registry's exposition is label-free, so the serving layer appends
 /// these rows itself).
-fn subscriber_gauges(hub: &Arc<MonitorHub>) -> String {
-    use crate::health::SubscriberStatus;
+fn subscriber_gauges(hub: &MonitorHub) -> String {
     use std::fmt::Write as _;
     let stats = hub.subscriber_stats();
     if stats.is_empty() {
@@ -450,74 +597,35 @@ fn subscriber_gauges(hub: &Arc<MonitorHub>) -> String {
     out
 }
 
-/// Writes a complete `Connection: close` HTTP/1.1 response.
-///
-/// # Errors
-/// Propagates socket write errors.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    respond_with_headers(stream, status, content_type, &[], body)
-}
-
-/// [`respond`] with extra response headers (e.g. `Retry-After` on a
-/// load-shedding `503`). Each pair renders as `name: value`.
-///
-/// # Errors
-/// Propagates socket write errors.
-pub fn respond_with_headers(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> std::io::Result<()> {
-    let mut headers = String::new();
-    for (name, value) in extra {
-        use std::fmt::Write as _;
-        let _ = write!(headers, "{name}: {value}\r\n");
-    }
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
-}
-
 /// Streams hub bodies as schema-versioned JSONL until the hub closes,
 /// the stop flag rises, the client goes away, or a write times out
 /// (slow-client eviction).
 fn stream_events(
     stream: &mut TcpStream,
     hub: &Arc<MonitorHub>,
-    stop: &Arc<AtomicBool>,
+    stop: &AtomicBool,
 ) -> std::io::Result<()> {
+    let announce = |action: &str, active: usize| {
+        apollo_telemetry::gauge("introspect.subscribers").set(active as f64);
+        apollo_telemetry::emit_event(
+            "introspect.subscriber",
+            &[
+                ("action", FieldValue::from(action)),
+                ("active", FieldValue::from(active)),
+            ],
+        );
+    };
     let (sub, active) = hub.subscribe();
-    apollo_telemetry::gauge("introspect.subscribers").set(active as f64);
-    apollo_telemetry::emit_event(
-        "introspect.subscriber",
-        &[
-            ("action", FieldValue::from("connect")),
-            ("active", FieldValue::from(active)),
-        ],
-    );
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    announce("connect", active);
+    stream_head(stream)?;
     // Per-subscriber wire framing: dense seq from 0 and a local
     // timestamp epoch, assigned at send time (drops happen earlier, in
     // the hub queue, so delivered seq never has gaps).
     let epoch = Instant::now();
     let mut seq = 0u64;
-    let result = loop {
+    loop {
         if stop.load(Ordering::Relaxed) && hub.closed() {
-            break Ok(());
+            break;
         }
         match sub.poll(Duration::from_millis(100)) {
             Poll::Body(item) => {
@@ -534,14 +642,8 @@ fn stream_events(
                 };
                 seq += 1;
                 let t0 = apollo_telemetry::timing_enabled().then(Instant::now);
-                if let Err(e) = writeln!(stream, "{}", rec.to_jsonl()).and_then(|()| stream.flush())
-                {
-                    if is_timeout(&e) {
-                        // The peer stopped draining: evict rather than
-                        // let its socket backpressure pin this thread.
-                        apollo_telemetry::counter("introspect.http.slow_evicted").inc();
-                    }
-                    break Ok(()); // client went away or stalled out
+                if stream_line(stream, &rec.to_jsonl(), "introspect").is_err() {
+                    break; // client went away or stalled out
                 }
                 let dur_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if t0.is_some() {
@@ -569,84 +671,36 @@ fn stream_events(
                 }
             }
             Poll::Timeout => continue,
-            Poll::Closed => break Ok(()),
+            Poll::Closed => break,
         }
-    };
+    }
     drop(sub);
-    let active = hub.active();
-    apollo_telemetry::gauge("introspect.subscribers").set(active as f64);
-    apollo_telemetry::emit_event(
-        "introspect.subscriber",
-        &[
-            ("action", FieldValue::from("disconnect")),
-            ("active", FieldValue::from(active)),
-        ],
-    );
-    result
+    announce("disconnect", hub.active());
+    Ok(())
 }
 
-/// Minimal HTTP GET client for tests, CI smoke checks and the
-/// `apollo scrape` subcommand: fetches `http://host:port/path` and
-/// returns up to `max_lines` body lines (`None` = the whole body,
-/// reading until the server closes the stream).
+/// Minimal HTTP GET for tests, CI smoke checks and the `apollo scrape`
+/// subcommand: fetches `http://host:port/path` through
+/// [`http_get`](crate::client::http_get) and returns up to `max_lines`
+/// body lines (`None` = the whole body, reading until the server
+/// closes the stream).
 ///
 /// # Errors
-/// Returns connection or read errors; non-2xx statuses are returned as
+/// Returns connection or read errors; non-200 statuses are returned as
 /// `InvalidData`.
 pub fn http_get_lines(
     addr: &str,
     path: &str,
     max_lines: Option<usize>,
 ) -> std::io::Result<Vec<String>> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let mut out = stream.try_clone()?;
-    write!(
-        out,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    out.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut status = String::new();
-    reader.read_line(&mut status)?;
-    if !status.contains("200") {
+    let res = http_get(addr, path, max_lines, Duration::from_secs(10))?;
+    if res.status != 200 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("HTTP error: {}", status.trim()),
+            format!("HTTP error: status {}", res.status),
         ));
     }
-    // Skip headers.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 || line.trim().is_empty() {
-            break;
-        }
-    }
-    let mut lines = Vec::new();
-    loop {
-        if let Some(cap) = max_lines {
-            if lines.len() >= cap {
-                break;
-            }
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() {
-                    lines.push(trimmed.to_owned());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(lines)
+    Ok(res.lines)
 }
 
 #[cfg(test)]
@@ -677,10 +731,7 @@ mod tests {
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
         apollo_telemetry::counter("introspect.test.metric").add(3);
-        let hub = MonitorHub::new(8);
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = serve("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop)).unwrap();
-        let addr = server.addr().to_string();
+        let (server, addr, _hub, _stop) = start(ServerOptions::default());
         let lines = http_get_lines(&addr, "/metrics", None).unwrap();
         assert!(
             lines
@@ -694,11 +745,7 @@ mod tests {
 
     #[test]
     fn events_endpoint_streams_dense_seq_jsonl() {
-        let hub = MonitorHub::new(64);
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = serve("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop)).unwrap();
-        let addr = server.addr().to_string();
-
+        let (server, addr, hub, _stop) = start(ServerOptions::default());
         let publisher = {
             let hub = Arc::clone(&hub);
             std::thread::spawn(move || {
@@ -727,10 +774,7 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_raises_stop_flag() {
-        let hub = MonitorHub::new(8);
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = serve("127.0.0.1:0", Arc::clone(&hub), Arc::clone(&stop)).unwrap();
-        let addr = server.addr().to_string();
+        let (server, addr, _hub, stop) = start(ServerOptions::default());
         let lines = http_get_lines(&addr, "/shutdown", None).unwrap();
         assert!(
             lines.iter().any(|l| l.contains("shutting down")),
@@ -833,13 +877,30 @@ mod tests {
         server.stop();
     }
 
+    type IoResult = std::io::Result<()>;
+
+    /// Routes whose only route panics inside the handler thread.
+    struct Panicking;
+
+    impl Routes for Panicking {
+        fn name(&self) -> &'static str {
+            "introspect"
+        }
+        fn index(&self) -> &'static str {
+            "panicking"
+        }
+        fn route(&self, path: &str, _: &mut TcpStream, _: &AtomicBool) -> Option<IoResult> {
+            panic!("chaos: injected handler panic on {path}");
+        }
+        fn close(&self) {}
+    }
+
     #[test]
     fn handler_panic_does_not_poison_the_server() {
-        let opts = ServerOptions {
-            chaos_panic_path: Some("/chaos-panic".into()),
-            ..ServerOptions::default()
-        };
-        let (server, addr, _hub, _stop) = start(opts);
+        let stop = Arc::new(AtomicBool::new(false));
+        let opts = ServerOptions::default();
+        let server = serve_routes("127.0.0.1:0", Arc::new(Panicking), stop, opts).unwrap();
+        let addr = server.addr().to_string();
         // The panicking handler drops the connection mid-flight …
         let res = http_get_lines(&addr, "/chaos-panic", None);
         assert!(res.is_err(), "panicking handler cannot answer");
@@ -847,8 +908,7 @@ mod tests {
         // cleanly afterwards (regression: a poisoned conns mutex used
         // to cascade `lock().unwrap()` panics into the accept loop).
         for _ in 0..3 {
-            let lines = http_get_lines(&addr, "/metrics", None).unwrap();
-            assert!(!lines.is_empty());
+            assert_eq!(http_get_lines(&addr, "/healthz", None).unwrap(), vec!["ok"]);
         }
         server.stop();
     }

@@ -28,16 +28,16 @@
 //! chaos differential tests compare byte-for-byte.
 
 use crate::checkpoint::CheckpointPolicy;
+use crate::core::CoreSpec;
 use crate::health::HealthRegistry;
 use crate::hub::MonitorHub;
 use crate::monitor::{run_monitor_with, MonitorConfig, MonitorReport, RunOptions};
-use crate::sync::plock;
 use apollo_core::{ApolloModel, DesignContext};
-use apollo_cpu::benchmarks::{self, Benchmark};
+use apollo_cpu::benchmarks::Benchmark;
 use apollo_telemetry::FieldValue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Deterministic exponential backoff + circuit breaker.
@@ -220,34 +220,22 @@ impl SupervisorReport {
 }
 
 /// A mixed-preset fleet over the built-in workloads: `n` pipelines
-/// cycling through the four benchmarks with varied window/bit presets
-/// derived from `base`. This is the registry shape fleet-scale serving
-/// will load from configuration; tests and the CLI use it directly.
+/// (ids `p{i}-<bench>`) following [`CoreSpec::fleet`]'s recipe, with
+/// every other setting taken from `base`. This is the registry shape
+/// fleet-scale serving loads from configuration; tests and the CLI use
+/// it directly.
 pub fn fleet_specs(n: usize, base: &MonitorConfig) -> Vec<PipelineSpec> {
-    let benches = [
-        benchmarks::dhrystone(),
-        benchmarks::maxpwr_cpu(),
-        benchmarks::saxpy_simd(),
-        benchmarks::daxpy(),
-    ];
-    (0..n)
-        .map(|i| {
-            let bench = benches[i % benches.len()].clone();
-            let mut cfg = base.clone();
-            // Mixed presets: alternate window length and quantization
-            // width so the fleet exercises heterogeneous configs.
-            if i % 2 == 1 {
-                cfg.window_t = (base.window_t * 2).max(4);
-            }
-            if i % 3 == 2 {
-                cfg.bits = base.bits.saturating_sub(2).max(4);
-            }
-            PipelineSpec {
-                id: format!("p{}-{}", i, bench.name),
-                bench,
-                cfg,
-                faults: Vec::new(),
-            }
+    CoreSpec::fleet(n, base.window_t, base.bits)
+        .into_iter()
+        .map(|core| PipelineSpec {
+            id: format!("p{}", &core.id[1..]),
+            bench: core.bench,
+            cfg: MonitorConfig {
+                window_t: core.window_t,
+                bits: core.bits,
+                ..base.clone()
+            },
+            faults: Vec::new(),
         })
         .collect()
 }
@@ -267,162 +255,209 @@ pub fn run_supervised(
     hub: Option<&Arc<MonitorHub>>,
     stop: &Arc<AtomicBool>,
 ) -> SupervisorReport {
-    let degraded_count = Arc::new(AtomicU64::new(0));
+    let degraded_count = AtomicU64::new(0);
     apollo_telemetry::gauge("introspect.supervisor.degraded").set(0.0);
     apollo_telemetry::gauge("introspect.supervisor.pipelines").set(specs.len() as f64);
-    let outcomes: Arc<Mutex<Vec<Option<PipelineOutcome>>>> =
-        Arc::new(Mutex::new(vec![None; specs.len()]));
-    let mut threads = Vec::with_capacity(specs.len());
-    for (slot, spec) in specs.iter().enumerate() {
-        let ctx = Arc::clone(ctx);
-        let model = Arc::clone(model);
-        let spec = spec.clone();
-        let sup = sup.clone();
-        let hub = hub.map(Arc::clone);
-        let stop = Arc::clone(stop);
-        let degraded_count = Arc::clone(&degraded_count);
-        let outcomes = Arc::clone(&outcomes);
-        threads.push(std::thread::spawn(move || {
-            let outcome = supervise_one(&ctx, &model, &spec, &sup, hub.as_deref(), &stop, &degraded_count);
-            plock(&outcomes)[slot] = Some(outcome);
-        }));
-    }
-    for t in threads {
-        let _ = t.join();
-    }
-    let pipelines = plock(&outcomes)
-        .iter_mut()
-        .map(|o| o.take().expect("every pipeline reports an outcome"))
-        .collect();
-    SupervisorReport { pipelines }
-}
-
-fn supervise_one(
-    ctx: &DesignContext,
-    model: &ApolloModel,
-    spec: &PipelineSpec,
-    sup: &SupervisorConfig,
-    hub: Option<&MonitorHub>,
-    stop: &Arc<AtomicBool>,
-    degraded_count: &AtomicU64,
-) -> PipelineOutcome {
-    let mut decisions = Vec::new();
-    let mut failures = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        let faults: Vec<u64> = spec
-            .faults
-            .iter()
-            .filter(|f| f.attempt == attempt)
-            .map(|f| f.window)
-            .collect();
-        let opts = RunOptions {
-            pipeline: Some(spec.id.clone()),
-            checkpoint: sup.checkpoint.clone(),
+    let supervise_pipeline = |spec: &PipelineSpec| {
+        let unit = Supervision {
+            row: &spec.id,
+            subject: ("pipeline", FieldValue::from(spec.id.as_str())),
+            events: "introspect.supervisor",
+            panic_prefix: "panic: ",
+            backoff: sup.backoff,
+            health: sup.health.as_deref(),
+            stop,
+        };
+        let run = supervise(
+            &unit,
             // Attempt 0 also resumes when a checkpoint file exists —
             // that is exactly the kill-the-process recovery path. A
             // missing file is a silent fresh start.
-            resume: sup.checkpoint.is_some(),
-            panic_at_windows: faults,
-            health: sup.health.clone(),
-        };
-        decisions.push(Decision::Start {
-            attempt,
-            resume: opts.resume,
-        });
-        if let Some(h) = &sup.health {
-            h.report_state(&spec.id, "starting", u64::from(attempt), 0);
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Each attempt is one trace: root ids are pure functions
-            // of (pipeline id, attempt), so a rerun of the same fault
-            // plan produces byte-identical per-pipeline trace streams.
-            let _trace = apollo_telemetry::enter(apollo_telemetry::TraceCtx::root(
-                apollo_telemetry::intern(&spec.id),
-                u64::from(attempt),
-            ));
-            run_monitor_with(ctx, model, &spec.bench, &spec.cfg, hub, stop, &opts)
-        }));
-        let reason = match result {
-            Ok(Ok(report)) => {
-                decisions.push(Decision::Completed {
-                    attempt,
-                    windows: report.windows,
-                });
-                if let Some(h) = &sup.health {
-                    h.report_state(&spec.id, "completed", u64::from(attempt), 0);
+            || sup.checkpoint.is_some(),
+            |attempt| {
+                let opts = RunOptions {
+                    pipeline: Some(spec.id.clone()),
+                    checkpoint: sup.checkpoint.clone(),
+                    resume: sup.checkpoint.is_some(),
+                    panic_at_windows: spec
+                        .faults
+                        .iter()
+                        .filter(|f| f.attempt == attempt)
+                        .map(|f| f.window)
+                        .collect(),
+                    health: sup.health.clone(),
+                };
+                // Each attempt is one trace: root ids are pure
+                // functions of (pipeline id, attempt), so a rerun of
+                // the same fault plan produces byte-identical
+                // per-pipeline trace streams.
+                let _trace = apollo_telemetry::enter(apollo_telemetry::TraceCtx::root(
+                    apollo_telemetry::intern(&spec.id),
+                    u64::from(attempt),
+                ));
+                run_monitor_with(ctx, model, &spec.bench, &spec.cfg, hub.map(|h| &**h), stop, &opts)
+                    .map(|report| (report.windows, report))
+                    .map_err(|e| format!("error: {e}"))
+            },
+            |degraded| {
+                if degraded {
+                    let now = degraded_count.fetch_add(1, Ordering::Relaxed) + 1;
+                    apollo_telemetry::gauge("introspect.supervisor.degraded").set(now as f64);
+                    apollo_telemetry::counter("introspect.supervisor.degradations").inc();
+                } else {
+                    apollo_telemetry::counter("introspect.supervisor.restarts").inc();
                 }
-                return PipelineOutcome {
-                    id: spec.id.clone(),
+            },
+        );
+        PipelineOutcome {
+            id: spec.id.clone(),
+            state: run.state,
+            attempts: run.attempts,
+            report: run.output,
+            decisions: run.decisions,
+        }
+    };
+    let pipelines = std::thread::scope(|scope| {
+        let threads: Vec<_> = specs
+            .iter()
+            .map(|spec| scope.spawn(|| supervise_pipeline(spec)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("supervision never propagates a panic"))
+            .collect()
+    });
+    SupervisorReport { pipelines }
+}
+
+/// How one supervised unit — a monitor pipeline or a fleet shard —
+/// names itself; everything else about supervision is shared.
+pub struct Supervision<'a> {
+    /// Health-registry row the unit reports its state transitions on.
+    pub row: &'a str,
+    /// Subject field of its events: `("pipeline", id)`, `("shard", k)`.
+    pub subject: (&'static str, FieldValue),
+    /// Event prefix: `<events>.restart`, `<events>.degraded`.
+    pub events: &'static str,
+    /// Prefix of a panic's failure reason in the decision log.
+    pub panic_prefix: &'static str,
+    /// Restart/backoff/circuit-breaker policy.
+    pub backoff: BackoffPolicy,
+    /// Health registry, when the unit reports one.
+    pub health: Option<&'a HealthRegistry>,
+    /// Cooperative stop flag: cuts backoff sleeps short.
+    pub stop: &'a AtomicBool,
+}
+
+/// The result of [`supervise`].
+pub struct Supervised<T> {
+    /// `Completed` or `Degraded`.
+    pub state: PipelineState,
+    /// Attempts used (1 = no failures).
+    pub attempts: u32,
+    /// The successful attempt's output.
+    pub output: Option<T>,
+    /// Full supervision decision log, in order.
+    pub decisions: Vec<Decision>,
+}
+
+/// The supervision loop: runs `attempt(n)` for `n = 0, 1, …` behind
+/// `catch_unwind` until one returns `Ok((windows, output))` or
+/// [`BackoffPolicy::give_up`] consecutive attempts failed (panicked or
+/// returned `Err(reason)`). Between failures it sleeps the
+/// deterministic backoff, stop-sliced. Every step is logged as a
+/// [`Decision`] and mirrored into the health registry; `resume()` is
+/// the `Start` decision's resume flag and `on_failure(degraded)` lets
+/// the caller account a failure before the restart or degraded event.
+pub fn supervise<T>(
+    unit: &Supervision<'_>,
+    resume: impl Fn() -> bool,
+    mut attempt: impl FnMut(u32) -> Result<(u64, T), String>,
+    mut on_failure: impl FnMut(bool),
+) -> Supervised<T> {
+    let report = |state: &str, attempt: u32, stage: u32| {
+        if let Some(h) = unit.health {
+            h.report_state(unit.row, state, u64::from(attempt), u64::from(stage));
+        }
+    };
+    let mut decisions = Vec::new();
+    let mut failures = 0u32;
+    let mut n = 0u32;
+    loop {
+        decisions.push(Decision::Start {
+            attempt: n,
+            resume: resume(),
+        });
+        report("starting", n, 0);
+        let reason = match catch_unwind(AssertUnwindSafe(|| attempt(n))) {
+            Ok(Ok((windows, output))) => {
+                decisions.push(Decision::Completed { attempt: n, windows });
+                report("completed", n, 0);
+                return Supervised {
                     state: PipelineState::Completed,
-                    attempts: attempt + 1,
-                    report: Some(report),
+                    attempts: n + 1,
+                    output: Some(output),
                     decisions,
                 };
             }
-            Ok(Err(e)) => format!("error: {e}"),
-            Err(payload) => format!("panic: {}", panic_text(payload.as_ref())),
+            Ok(Err(reason)) => reason,
+            Err(payload) => format!("{}{}", unit.panic_prefix, panic_text(payload.as_ref())),
         };
         failures += 1;
         decisions.push(Decision::Failed {
-            attempt,
+            attempt: n,
             reason: reason.clone(),
         });
-        if failures >= sup.backoff.give_up {
+        let degraded = failures >= unit.backoff.give_up;
+        on_failure(degraded);
+        if degraded {
             decisions.push(Decision::Degraded { failures });
-            if let Some(h) = &sup.health {
-                h.report_state(&spec.id, "degraded", u64::from(attempt), 0);
-            }
-            let now = degraded_count.fetch_add(1, Ordering::Relaxed) + 1;
-            apollo_telemetry::gauge("introspect.supervisor.degraded").set(now as f64);
-            apollo_telemetry::counter("introspect.supervisor.degradations").inc();
+            report("degraded", n, 0);
             apollo_telemetry::emit_event(
-                "introspect.supervisor.degraded",
+                &format!("{}.degraded", unit.events),
                 &[
-                    ("pipeline", FieldValue::from(spec.id.as_str())),
+                    (unit.subject.0, unit.subject.1.clone()),
                     ("failures", FieldValue::from(u64::from(failures))),
                 ],
             );
-            return PipelineOutcome {
-                id: spec.id.clone(),
+            return Supervised {
                 state: PipelineState::Degraded,
-                attempts: attempt + 1,
-                report: None,
+                attempts: n + 1,
+                output: None,
                 decisions,
             };
         }
-        let delay_ms = sup.backoff.delay_ms(failures);
-        decisions.push(Decision::Backoff {
-            failures,
-            delay_ms,
-        });
-        if let Some(h) = &sup.health {
-            h.report_state(&spec.id, "backoff", u64::from(attempt + 1), u64::from(failures));
-        }
-        apollo_telemetry::counter("introspect.supervisor.restarts").inc();
+        let delay_ms = unit.backoff.delay_ms(failures);
+        decisions.push(Decision::Backoff { failures, delay_ms });
+        report("backoff", n + 1, failures);
         apollo_telemetry::emit_event(
-            "introspect.supervisor.restart",
+            &format!("{}.restart", unit.events),
             &[
-                ("pipeline", FieldValue::from(spec.id.as_str())),
-                ("attempt", FieldValue::from(u64::from(attempt + 1))),
+                (unit.subject.0, unit.subject.1.clone()),
+                ("attempt", FieldValue::from(u64::from(n + 1))),
                 ("delay_ms", FieldValue::from(delay_ms)),
                 ("reason", FieldValue::from(reason.as_str())),
             ],
         );
-        // Sleep in short slices so a stop request cuts the backoff.
-        let mut left = delay_ms;
-        while left > 0 && !stop.load(Ordering::Relaxed) {
-            let slice = left.min(20);
-            std::thread::sleep(Duration::from_millis(slice));
-            left -= slice;
-        }
-        attempt += 1;
+        sleep_sliced(delay_ms, unit.stop);
+        n += 1;
+    }
+}
+
+/// Stop-sliced sleep: wakes every 20 ms to poll `stop`, so a
+/// `/shutdown` never waits out a long backoff or pacing delay.
+pub fn sleep_sliced(ms: u64, stop: &AtomicBool) {
+    let mut left = ms;
+    while left > 0 && !stop.load(Ordering::Relaxed) {
+        let slice = left.min(20);
+        std::thread::sleep(Duration::from_millis(slice));
+        left -= slice;
     }
 }
 
 /// Extracts a stable text from a panic payload (`&str` / `String`
 /// payloads; anything else gets a fixed placeholder so decision logs
-/// stay deterministic). Shared with the `apollo-fleet` shard bulkheads.
+/// stay deterministic).
 pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
@@ -436,6 +471,7 @@ pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn backoff_is_deterministic_and_saturates() {
@@ -455,18 +491,23 @@ mod tests {
     }
 
     #[test]
-    fn fleet_specs_mix_presets_over_all_benchmarks() {
-        let specs = fleet_specs(4, &MonitorConfig::default());
-        assert_eq!(specs.len(), 4);
-        let names: std::collections::HashSet<&str> =
-            specs.iter().map(|s| s.bench.name.as_str()).collect();
-        assert_eq!(names.len(), 4, "four distinct workloads");
-        let ids: std::collections::HashSet<&String> = specs.iter().map(|s| &s.id).collect();
-        assert_eq!(ids.len(), 4, "unique pipeline ids");
-        assert_ne!(
-            specs[0].cfg.window_t, specs[1].cfg.window_t,
-            "presets are heterogeneous"
-        );
+    fn fleet_specs_follow_the_mixed_core_recipe() {
+        let base = MonitorConfig::default();
+        let specs = fleet_specs(6, &base);
+        let cores = CoreSpec::fleet(6, base.window_t, base.bits);
+        for (p, c) in specs.iter().zip(&cores) {
+            assert_eq!(p.id, format!("p{}", &c.id[1..]));
+            assert_eq!(p.bench.name, c.bench.name);
+            assert_eq!((p.cfg.window_t, p.cfg.bits), (c.window_t, c.bits));
+            assert_eq!(p.cfg.history, base.history, "other settings come from base");
+        }
+        let benches: HashSet<&str> = cores.iter().map(|c| c.bench.name.as_str()).collect();
+        assert_eq!(benches.len(), 4, "four distinct workloads");
+        assert_eq!(cores[1].window_t, 2 * base.window_t, "odd cores double the window");
+        assert_eq!(cores[2].bits, base.bits - 2, "every third core drops two bits");
+        let ids: HashSet<&str> = specs.iter().map(|p| p.id.as_str()).collect();
+        assert_eq!(ids.len(), 6, "unique ids");
+        assert!(specs[0].id.starts_with("p0-") && cores[0].id.starts_with("c0-"));
     }
 
     #[test]
